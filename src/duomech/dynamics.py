@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicalityError, StabilityError
+from .errors import PhysicalityError, StabilityError, UnsupportedBranchError
 from .params import DerivedParams
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
 QUADRATURE_LABELS = ("q_b1", "Y_b1", "q_b2", "Y_b2", "q_c1", "Y_c1", "q_c2", "Y_c2")
 
 _N = 8
-_EYE = np.eye(_N)
 
 
 @dataclass(frozen=True)
@@ -159,46 +158,101 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
 _MAX_ASYMMETRY = 1e-10
 _MAX_RESIDUAL = 1e-10
 
+# Quadratures in mode order: the modes (b1, c1) of cavity 1, then (b2, c2).
+# The permutation is its own inverse: quadrature n sits at position
+# _MODE_ORDER[n].
+_MODE_ORDER = np.array([0, 1, 4, 5, 2, 3, 6, 7])
+_CAVITY_MODES = _MODE_ORDER.reshape(2, 4)
+# flat 8x8 index of entry (i, j) of the 4x4 block that couples the modes of
+# cavity k to those of cavity l, as [k, l, i, j]
+_MODE_BLOCKS = 8 * _CAVITY_MODES[:, None, :, None] + _CAVITY_MODES[None, :, None, :]
+# inverse: flat index into the (2, 4, 4) stack [same-cavity block,
+# cross-cavity block] of each entry of an exchange-symmetric 8x8 matrix
+_FROM_BLOCKS = (
+    16 * (_MODE_ORDER[:, None] // 4 != _MODE_ORDER[None, :] // 4)
+    + 4 * (_MODE_ORDER[:, None] % 4)
+    + _MODE_ORDER[None, :] % 4
+)
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+_EYE4 = np.eye(4)
+
+
+def _split_sectors(m: np.ndarray, name: str) -> np.ndarray:
+    """(2, 4, 4) stack of the + and - collective-mode sectors of an
+    exchange-symmetric 8x8 matrix; :class:`UnsupportedBranchError` if it is
+    not exchange symmetric.
+
+    In mode order the matrix is [[A, B], [B, A]]; in the (mode1 +- mode2)/sqrt2
+    basis it is block diagonal with sectors A + B and A - B.  They are formed
+    by exact addition and subtraction: a rotation by 1/sqrt2 would turn exact
+    zeros into rounding noise.
+    """
+    blocks = m.take(_MODE_BLOCKS)
+    if not (blocks[0] == blocks[1, ::-1]).all():
+        raise UnsupportedBranchError(
+            f"{name} matrix is not exchange symmetric (cavity 1 <-> 2); "
+            "the collective-mode sector solve does not apply"
+        )
+    return blocks[0, 0] + _PLUS_MINUS * blocks[0, 1]
+
 
 def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """Solve W sigma + sigma W^T + R = 0 for the steady-state covariance.
 
-    The equation is vectorized through the Kronecker identity into a dense
-    64x64 linear system and solved with a pivoted LU factorization; at this
-    fixed size nothing fancier pays off.  Matrices are normalized by the
-    fastest rate before solving, which keeps the system well conditioned for
-    gamma/kappa ratios down to 1e-4 (the covariance itself is dimensionless
-    and unaffected by the rescaling).
+    The two cavities are identical, so W and R are exchange symmetric and
+    split exactly into the sectors of the collective modes (mode1 +- mode2)/sqrt2.
+    Each sector's 4x4 equation is vectorized through the Kronecker identity
+    into a 16x16 linear system; both are solved in one stacked pivoted LU
+    call, and sigma is rebuilt from the sector covariances S+ and S- as
+    (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it.  Matrices
+    are normalized by the fastest rate before solving, which keeps the
+    systems well conditioned for gamma/kappa ratios down to 1e-4 (the
+    covariance itself is dimensionless and unaffected by the rescaling).
+    The asymmetry and residual gates act on the full 8x8 solution.
 
     Raises
     ------
     StabilityError
         If the drift is not strictly stable (no stationary state exists).
+    UnsupportedBranchError
+        If W or R is not exchange symmetric, so the sector split does not apply.
     PhysicalityError
-        If the solve leaves an asymmetry or residual beyond 1e-10, which
-        signals a numerically meaningless solution.
+        If the solve leaves an asymmetry or residual beyond 1e-10, or a
+        residual that is not a number, which signals a numerically
+        meaningless solution.
     """
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
-    report = check_stability(w)
+    scale = _rate_scale(w)
+    report = check_stability(w, scale)
     if not report.is_stable:
         raise StabilityError(
             f"drift matrix is {report.verdict} "
             f"(max Re eig = {report.max_real:.6e} rad/s, "
             f"threshold {report.threshold:.1e} rad/s); no steady state"
         )
-    scale = _rate_scale(w)
+    if w.shape != (_N, _N) or r.shape != (_N, _N):
+        raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
     wn = w / scale
     rn = r / scale
+    w_sectors = _split_sectors(wn, "drift")
+    r_sectors = _split_sectors(rn, "noise")
 
-    lhs = np.kron(_EYE, wn) + np.kron(wn, _EYE)
+    # row-major vec(W S + S W^T) = (W (x) I + I (x) W) vec(S), built by
+    # broadcasting: index (sector, a, b, c, d) -> row 4a + b, column 4c + d
+    lhs = (
+        w_sectors[:, :, None, :, None] * _EYE4[None, None, :, None, :]
+        + _EYE4[None, :, None, :, None] * w_sectors[:, None, :, None, :]
+    ).reshape(2, 16, 16)
     try:
-        sigma = np.linalg.solve(lhs, -rn.reshape(-1)).reshape(_N, _N)
+        s_plus, s_minus = np.linalg.solve(lhs, -r_sectors.reshape(2, 16, 1)).reshape(2, 4, 4)
     except np.linalg.LinAlgError as exc:
         raise PhysicalityError(f"singular vectorized Lyapunov system: {exc}") from exc
+    # (S+ + S-)/2 within one cavity's modes, (S+ - S-)/2 across the cavities
+    sigma = (0.5 * (s_plus + _PLUS_MINUS * s_minus)).take(_FROM_BLOCKS)
 
-    norm = float(np.max(np.abs(sigma)))
-    asym = float(np.max(np.abs(sigma - sigma.T)))
+    norm = float(np.abs(sigma).max())
+    asym = float(np.abs(sigma - sigma.T).max())
     if norm > 0 and asym > _MAX_ASYMMETRY * norm:
         raise PhysicalityError(
             f"Lyapunov solution asymmetric beyond tolerance: {asym / norm:.3e} relative"
@@ -208,7 +262,7 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     residual = float(
         np.linalg.norm(wn @ sigma + sigma @ wn.T + rn) / np.linalg.norm(rn)
     )
-    if residual > _MAX_RESIDUAL:
+    if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
     return CovarianceState(
         full=sigma, mechanical_block=sigma[:4, :4].copy(), residual=residual

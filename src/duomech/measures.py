@@ -39,9 +39,8 @@ _PHYS_TOL = 1e-9     # slack on the nu >= 1/2 physicality bound
 _SNAP = 1e-12        # |measure| below this snaps to exactly 0
 
 
-def _omega(n_modes: int) -> np.ndarray:
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j)
+_J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_OMEGA_TWO_MODE = np.kron(np.eye(2), _J)   # symplectic form Omega of two modes
 
 
 def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
@@ -55,14 +54,20 @@ def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     n2 = cov.shape[0]
     if cov.ndim != 2 or cov.shape[1] != n2 or n2 % 2:
         raise ValueError(f"covariance must be square with even size, got {cov.shape}")
-    ev = np.linalg.eigvals(1j * _omega(n2 // 2) @ cov)
+    omega = _OMEGA_TWO_MODE if n2 == 4 else np.kron(np.eye(n2 // 2), _J)
+    ev = np.linalg.eigvals(1j * omega @ cov)
     return np.sort(np.abs(ev))[::2]
 
 
 @dataclass(frozen=True)
 class TwoModeCovariance:
     """4x4 two-mode covariance in (q_A, Y_A, q_B, Y_B) order with cached
-    block determinants."""
+    block determinants and symplectic spectrum.
+
+    ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
+    here; ``validate`` decides only whether a spectrum below the vacuum bound
+    raises.
+    """
 
     matrix: np.ndarray
     x_block: np.ndarray
@@ -72,6 +77,7 @@ class TwoModeCovariance:
     det_b: float
     det_z: float
     det_full: float
+    spectrum: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, validate: bool = True) -> "TwoModeCovariance":
@@ -84,7 +90,13 @@ class TwoModeCovariance:
         if np.max(np.abs(m - m.T)) > 1e-10 * scale:
             raise PhysicalityError("covariance matrix must be symmetric")
         m = 0.5 * (m + m.T)
-        cov = cls(
+        spectrum = symplectic_spectrum(m)
+        if validate and spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
+            raise PhysicalityError(
+                f"unphysical covariance: min symplectic eigenvalue "
+                f"{spectrum[0]!r} < 1/2"
+            )
+        return cls(
             matrix=m,
             x_block=m[:2, :2].copy(),
             b_block=m[2:, 2:].copy(),
@@ -93,15 +105,8 @@ class TwoModeCovariance:
             det_b=float(np.linalg.det(m[2:, 2:])),
             det_z=float(np.linalg.det(m[:2, 2:])),
             det_full=float(np.linalg.det(m)),
+            spectrum=spectrum,
         )
-        if validate:
-            nus = symplectic_spectrum(m)
-            if nus[0] < VACUUM_VARIANCE - _PHYS_TOL:
-                raise PhysicalityError(
-                    f"unphysical covariance: min symplectic eigenvalue "
-                    f"{nus[0]!r} < 1/2"
-                )
-        return cov
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:
@@ -161,7 +166,8 @@ def _clamped_sqrt_disc(delta: float, det_full: float, det_scale: float) -> float
 
 def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     """(theta_plus, theta_minus) of a two-mode covariance from the block
-    determinants, cross-validated against the i*Omega*sigma spectrum.
+    determinants, cross-validated against the i*Omega*sigma spectrum that
+    :class:`TwoModeCovariance` keeps.
 
     theta_pm = sqrt[(Delta' +- sqrt(Delta'^2 - 4 det sigma)) / 2] with
     Delta' = det X + det B + 2 det Z.
@@ -173,7 +179,7 @@ def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, 
     theta_plus = math.sqrt((delta + root) / 2.0)
     theta_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
 
-    ref = symplectic_spectrum(c.matrix)
+    ref = c.spectrum
     # Near spectral degeneracy neither route can resolve the split below the
     # discriminant roundoff band; widen the consistency tolerance accordingly.
     band = _disc_band(delta, c.det_full, det_scale)
@@ -232,6 +238,11 @@ def gaussian_discord(cov: TwoModeCovariance | np.ndarray) -> float:
     return a silently wrong value.
     """
     c = _as_cov(cov)
+    _check_discord_branch(c)
+    return _discord(c, *symplectic_eigenvalues(c))[0]
+
+
+def _check_discord_branch(c: TwoModeCovariance) -> None:
     scale = max(abs(c.det_x), abs(c.det_b), 1e-300)
     if c.det_z > _SNAP * scale:
         raise UnsupportedBranchError(
@@ -243,16 +254,21 @@ def gaussian_discord(cov: TwoModeCovariance | np.ndarray) -> float:
             "gaussian_discord requires exchange-symmetric blocks "
             f"(det X = {c.det_x!r}, det B = {c.det_b!r})"
         )
-    theta_plus, theta_minus = symplectic_eigenvalues(c)
+
+
+def _discord(c: TwoModeCovariance, theta_plus: float,
+             theta_minus: float) -> tuple[float, float]:
+    """(D, delta) of :func:`gaussian_discord` on a covariance already checked
+    to lie on its branch, given its symplectic eigenvalues."""
     sqrt_det_x = math.sqrt(c.det_x)
-    delta_disc = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
+    delta = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
     d = (
         f_function(sqrt_det_x)
         - f_function(theta_plus)
         - f_function(theta_minus)
-        + f_function(delta_disc)
+        + f_function(delta)
     )
-    return _snap_floor(d)
+    return _snap_floor(d), delta
 
 
 def _snap_floor(value: float) -> float:
@@ -287,10 +303,9 @@ def correlation_report(
     c = _as_cov(cov)
     s_ab, s_ba = gaussian_steering(c)
     en, nu_minus = log_negativity(c)
+    _check_discord_branch(c)
     theta_plus, theta_minus = symplectic_eigenvalues(c)
-    discord = gaussian_discord(c)
-    sqrt_det_x = math.sqrt(c.det_x)
-    delta_disc = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
+    discord, delta_disc = _discord(c, theta_plus, theta_minus)
     return CorrelationReport(
         steering_ab=s_ab,
         steering_ba=s_ba,

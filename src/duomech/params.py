@@ -179,10 +179,18 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
 
 
 def squeezed_moments(squeezing_r: float) -> tuple[float, float]:
-    """Squeezed-bath moments ``(N, M) = (sinh^2 r, sinh r cosh r)``."""
+    """Squeezed-bath moments ``(N, M) = (sinh^2 r, sinh r cosh r)``.
+
+    Raises :class:`ConfigError` when they overflow a float (r above about 355).
+    """
     if squeezing_r < 0.0:
         raise ConfigError(f"squeezing_r must be >= 0, got {squeezing_r!r}")
-    return math.sinh(squeezing_r) ** 2, math.sinh(squeezing_r) * math.cosh(squeezing_r)
+    try:
+        return math.sinh(squeezing_r) ** 2, math.sinh(squeezing_r) * math.cosh(squeezing_r)
+    except OverflowError:
+        raise ConfigError(
+            f"squeezing_r = {squeezing_r!r} is too large: sinh^2 r overflows"
+        ) from None
 
 
 def single_photon_coupling(params: PhysicalParams) -> float:

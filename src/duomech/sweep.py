@@ -8,8 +8,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .dynamics import CovarianceState, check_stability, solve_lyapunov, system_matrices
-from .errors import BracketError, ConfigError
+from .dynamics import CovarianceState, solve_lyapunov, system_matrices
+from .errors import BracketError, ConfigError, StabilityError
 from .measures import CorrelationReport, TwoModeCovariance, correlation_report
 from .params import DerivedParams, PhysicalParams, derive
 
@@ -94,13 +94,14 @@ class PointResult:
 
 
 def evaluate_point(params: PhysicalParams) -> PointResult:
-    """derive -> matrices -> stability -> Lyapunov -> mechanical measures."""
+    """derive -> matrices -> Lyapunov (stability checked there) -> mechanical
+    measures.  An unstable drift gives a result with ``stable=False`` and no
+    state or report."""
     derived = derive(params)
-    matrices = system_matrices(derived)
-    stability = check_stability(matrices.drift)
-    if not stability.is_stable:
+    try:
+        state = solve_lyapunov(system_matrices(derived))
+    except StabilityError:
         return PointResult(params, derived, False, None, None)
-    state = solve_lyapunov(matrices)
     cov = TwoModeCovariance.from_matrix(state.mechanical_block)
     report = correlation_report(cov, stable=True)
     return PointResult(params, derived, True, state, report)
@@ -109,17 +110,18 @@ def evaluate_point(params: PhysicalParams) -> PointResult:
 @dataclass(frozen=True)
 class SweepRow:
     """One grid point; measure fields are None when the point is unstable or
+    failed, and the derived fields (xi, cooperativity, n_th) too when it
     failed (emitted as empty CSV fields, never fabricated zeros)."""
 
     swept_value: float
     curve_value: float | None
     r: float
-    xi: float
+    xi: float | None
     temperature: float
     gamma: float
     kappa: float
-    cooperativity: float
-    n_th: float
+    cooperativity: float | None
+    n_th: float | None
     sigma1: float | None
     sigma12: float | None
     sigma13: float | None
@@ -131,21 +133,22 @@ class SweepRow:
 
 
 def _row_from_point(swept_value: float, curve_value: float | None,
-                    result: PointResult) -> SweepRow:
-    params, derived = result.params, result.derived
+                    params: PhysicalParams, result: PointResult | None) -> SweepRow:
+    """``result`` is None when the point failed."""
+    derived = None if result is None else result.derived
     common = dict(
         swept_value=swept_value,
         curve_value=curve_value,
         r=params.squeezing_r,
-        xi=derived.xi,
+        xi=None if derived is None else derived.xi,
         temperature=params.temperature,
         gamma=params.gamma,
         kappa=params.kappa,
-        cooperativity=derived.cooperativity,
-        n_th=derived.n_th,
-        stable=result.stable,
+        cooperativity=None if derived is None else derived.cooperativity,
+        n_th=None if derived is None else derived.n_th,
+        stable=result is not None and result.stable,
     )
-    if result.report is None or result.state is None:
+    if result is None or result.report is None or result.state is None:
         return SweepRow(sigma1=None, sigma12=None, sigma13=None, steering=None,
                         log_negativity=None, discord=None, nu_minus=None, **common)
     mech = result.state.mechanical_block
@@ -165,7 +168,8 @@ def _row_from_point(swept_value: float, curve_value: float | None,
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid in deterministic order (outer: curve values,
     inner: swept grid ascending).  Per-point failures are reported on stderr
-    and yield a row with empty measures; they never abort the sweep."""
+    and yield a row with empty derived and measure fields; they never abort
+    the sweep."""
     curves: list[float | None] = (
         list(spec.curve_values) if spec.curve_variable else [None]
     )
@@ -185,9 +189,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     + f" failed: {exc}",
                     file=sys.stderr,
                 )
-                derived = derive(point_params)
-                result = PointResult(point_params, derived, False, None, None)
-            rows.append(_row_from_point(value, curve_value, result))
+                result = None
+            rows.append(_row_from_point(value, curve_value, point_params, result))
     return rows
 
 
@@ -273,15 +276,15 @@ def find_critical_xi(held: PhysicalParams, bracket: tuple[float, float],
     iterations = 0
     while hi - lo > xi_tol:
         mid = 0.5 * (lo + hi)
-        if _en_at_xi(held, mid) > en_tol:
-            lo = mid
+        en_mid = _en_at_xi(held, mid)
+        if en_mid > en_tol:
+            lo, en_lo = mid, en_mid
         else:
-            hi = mid
+            hi, en_hi = mid, en_mid
         iterations += 1
     return CriticalHopping(
         xi_l=0.5 * (lo + hi), bracket_lo=lo, bracket_hi=hi,
-        en_lo=_en_at_xi(held, lo), en_hi=_en_at_xi(held, hi),
-        iterations=iterations,
+        en_lo=en_lo, en_hi=en_hi, iterations=iterations,
     )
 
 

@@ -195,6 +195,7 @@ def test_criterion_4_symplectic_cross_check():
         assert worst <= 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_5_monte_carlo_oracle():
     holder = {}
     with criterion(5, holder):

@@ -24,6 +24,26 @@ def test_config_sweep_writes_csv(tmp_path, config_file, capsys):
     assert sum(1 for l in lines if not l.startswith("#")) == 4
 
 
+def test_failed_points_leave_empty_fields_and_sweep_goes_on(tmp_path, config_file,
+                                                            capsys):
+    # r = 400 and 800 overflow sinh^2 r while deriving the point
+    out = tmp_path / "sweep.csv"
+    code = main(["--config", str(config_file), "--sweep", "r=0:800:3",
+                 "--output", str(out)])
+    assert code == 0
+    body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in body[1:]]
+    assert [row["r"] for row in rows] == ["0", "400", "800"]
+    assert rows[0]["stable"] == "true" and rows[0]["log_negativity"] != ""
+    derived_and_measures = ("xi", "C", "n_th", "sigma1", "sigma12", "sigma13",
+                            "steering", "log_negativity", "discord", "nu_minus")
+    for row in rows[1:]:
+        assert row["stable"] == "false"
+        assert row["T_K"] != "" and row["kappa_rads"] != ""
+        assert all(row[name] == "" for name in derived_and_measures)
+    assert capsys.readouterr().err.count("sinh^2 r overflows") == 2
+
+
 def test_sweep_to_stdout(config_file, capsys):
     code = main(["--config", str(config_file), "--sweep", "r=0:1:2"])
     assert code == 0

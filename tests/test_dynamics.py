@@ -5,9 +5,11 @@ import pytest
 import scipy.linalg
 
 from duomech import (
+    PhysicalityError,
     PhysicalParams,
     StabilityError,
     SystemMatrices,
+    UnsupportedBranchError,
     build_drift,
     build_noise,
     check_stability,
@@ -172,6 +174,40 @@ class TestSolveLyapunov:
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
         with pytest.raises(StabilityError, match="unstable"):
             solve_lyapunov(bad)
+
+    def test_sector_solve_agrees_with_schur_oracle_across_parameter_space(self):
+        # log-uniform C, xi, gamma/kappa and uniform r, strong coupling included
+        rng = np.random.default_rng(20231106)
+        log_uniform = lambda lo, hi: 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        for _ in range(300):
+            params = reference_params(
+                cooperativity=log_uniform(1e-3, 1e5),
+                hopping_lambda=log_uniform(1e-4, 10.0) * KAPPA,
+                gamma=log_uniform(1e-4, 1.0) * KAPPA,
+                squeezing_r=rng.uniform(0.0, 3.0),
+            )
+            matrices = system_matrices(derive(params))
+            state = solve_lyapunov(matrices)
+            oracle = scipy.linalg.solve_continuous_lyapunov(
+                matrices.drift / KAPPA, -matrices.noise / KAPPA
+            )
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(state.full - oracle)) < 1e-11 * scale, params
+
+    @pytest.mark.parametrize("r_sq", [300.0, 352.0])
+    def test_overflowing_noise_fails_the_residual_gate(self, r_sq):
+        # the residual (r = 300) or the whole solution (r = 352) is NaN
+        matrices = system_matrices(derive(reference_params(squeezing_r=r_sq)))
+        with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="residual"):
+            solve_lyapunov(matrices)
+
+    @pytest.mark.parametrize("which", ["drift", "noise"])
+    def test_refuses_system_without_exchange_symmetry(self, which):
+        matrices = system_matrices(derive(reference_params()))
+        broken = {"drift": matrices.drift.copy(), "noise": matrices.noise.copy()}
+        broken[which][0, 0] *= 1.5   # mirror 1 only: damped or heated more
+        with pytest.raises(UnsupportedBranchError, match=f"{which} matrix is not exchange"):
+            solve_lyapunov(SystemMatrices(**broken))
 
 
 class TestExtractBlock:

@@ -81,6 +81,11 @@ class TestSqueezedMoments:
             n, m = squeezed_moments(r)
             assert n + 0.5 >= m
 
+    @pytest.mark.parametrize("r", [400.0, 800.0])
+    def test_overflow_is_a_config_error(self, r):
+        with pytest.raises(ConfigError, match="too large"):
+            squeezed_moments(r)
+
 
 class TestEffectiveCoupling:
     def test_from_cooperativity_reference(self):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from duomech import (
@@ -13,7 +14,7 @@ from duomech import (
     find_critical_xi,
     run_sweep,
 )
-from duomech.sweep import CSV_COLUMNS
+from duomech.sweep import CSV_COLUMNS, _apply
 
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 14000.0
@@ -37,6 +38,19 @@ class TestReferencePoint:
         assert rep.discord == pytest.approx(0.41380789454449873, rel=1e-9)
         assert rep.theta_plus == rep.theta_minus  # exactly degenerate spectrum
         assert rep.theta_plus == pytest.approx(0.9888493140494736, rel=1e-9)
+
+    def test_each_spectrum_computed_once(self, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        evaluate_point(figure_preset("fig3").held)
+        # the drift's stability check, then the mirror block's i Omega sigma
+        assert shapes == [(8, 8), (4, 4)]
 
 
 class TestSweepSpec:
@@ -213,3 +227,6 @@ class TestFindCriticalXi:
         assert result.bracket_hi - result.bracket_lo <= 1e-6
         assert result.en_lo > 0.0
         assert result.en_hi == 0.0
+        edge = lambda xi: evaluate_point(_apply(held, "xi", xi)).report.log_negativity
+        assert result.en_lo == edge(result.bracket_lo)
+        assert result.en_hi == edge(result.bracket_hi)
