@@ -34,15 +34,10 @@ print(f"  squeezed moments       N = {derived.n_sq:.4f}, M = {derived.m_sq:.4f}"
 print(f"  many-photon coupling   G = {derived.coupling:.4g} rad/s")
 print(f"  cooperativity          C = {derived.cooperativity:.4g}")
 print(f"  hopping strength       xi = {derived.xi:.3f}")
-print(f"  drive phase            phi = {derived.phi:.6f} rad")
 
-# the drive needed to reach this cooperativity, and the resulting mean fields
+# the drive needed to reach this cooperativity
 power = dm.power_from_cooperativity(params)
-cbar, bbar = dm.steady_state_amplitudes(params)
 print(f"  pump power for C       {power * 1e6:.3f} uW")
-print(f"  cavity amplitude       |cbar| = {abs(cbar):.1f} (purely imaginary: "
-      f"Re/|.| = {abs(cbar.real) / abs(cbar):.1e})")
-print(f"  mirror displacement    |bbar| = {abs(bbar):.4f}")
 
 matrices = dm.system_matrices(derived)
 report = dm.check_stability(matrices.drift)

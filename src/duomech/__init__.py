@@ -23,7 +23,6 @@ from .dynamics import (
     build_drift,
     build_noise,
     check_stability,
-    extract_block,
     solve_lyapunov,
     system_matrices,
     write_matrix,
@@ -54,7 +53,6 @@ from .montecarlo import (
     SdeConfig,
     compare_to_lyapunov,
     integrate_steady_covariance,
-    sample_noise_increment,
     write_comparison_csv,
 )
 from .params import (
@@ -62,11 +60,9 @@ from .params import (
     PhysicalParams,
     cooperativity_from_power,
     derive,
-    drive_phase,
     effective_coupling,
     power_from_cooperativity,
     squeezed_moments,
-    steady_state_amplitudes,
     thermal_occupancy,
 )
 from .sweep import (
@@ -87,19 +83,19 @@ __version__ = "0.1.0"
 __all__ = [
     "HBAR", "KB",
     "PhysicalParams", "DerivedParams", "thermal_occupancy", "squeezed_moments",
-    "effective_coupling", "drive_phase", "steady_state_amplitudes", "derive",
+    "effective_coupling", "derive",
     "cooperativity_from_power", "power_from_cooperativity",
     "parse_config", "load_config", "EXAMPLE_CONFIG",
     "QUADRATURE_LABELS", "SystemMatrices", "CovarianceState", "build_drift",
     "build_noise", "system_matrices", "check_stability", "solve_lyapunov",
-    "extract_block", "write_matrix",
+    "write_matrix",
     "TwoModeCovariance", "CorrelationReport", "f_function",
     "symplectic_spectrum", "symplectic_eigenvalues", "gaussian_steering",
     "log_negativity", "gaussian_discord", "correlation_report",
     "thermal_state", "two_mode_squeezed_state",
     "closed_sigma", "closed_sigma_corrected", "validate_closed_forms",
     "default_validation_grid", "write_report_csv",
-    "SdeConfig", "McEstimate", "McComparison", "sample_noise_increment",
+    "SdeConfig", "McEstimate", "McComparison",
     "integrate_steady_covariance", "compare_to_lyapunov", "write_comparison_csv",
     "SweepSpec", "SweepRow", "PointResult", "evaluate_point", "run_sweep",
     "figure_preset", "find_critical_xi", "CriticalHopping", "emit_csv",

@@ -34,7 +34,6 @@ __all__ = [
     "system_matrices",
     "check_stability",
     "solve_lyapunov",
-    "extract_block",
     "write_matrix",
 ]
 
@@ -267,28 +266,6 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     return CovarianceState(
         full=sigma, mechanical_block=sigma[:4, :4].copy(), residual=residual
     )
-
-
-_BLOCKS = {
-    "mechanical": (slice(0, 4), slice(0, 4)),
-    "optical": (slice(4, 8), slice(4, 8)),
-    "mechanical-optical": (slice(0, 4), slice(4, 8)),
-}
-
-
-def extract_block(state: CovarianceState | np.ndarray, pair: str) -> np.ndarray:
-    """Return the 4x4 sub-covariance for a mode pair.
-
-    ``pair`` is one of ``"mechanical"``, ``"optical"``,
-    ``"mechanical-optical"``; quadrature order is preserved.
-    """
-    sigma = state.full if isinstance(state, CovarianceState) else np.asarray(state)
-    if pair not in _BLOCKS:
-        raise ValueError(
-            f"unknown mode pair {pair!r}; expected one of {sorted(_BLOCKS)}"
-        )
-    rows, cols = _BLOCKS[pair]
-    return sigma[rows, cols].copy()
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

@@ -70,9 +70,6 @@ class TwoModeCovariance:
     """
 
     matrix: np.ndarray
-    x_block: np.ndarray
-    b_block: np.ndarray
-    z_block: np.ndarray
     det_x: float
     det_b: float
     det_z: float
@@ -96,17 +93,19 @@ class TwoModeCovariance:
                 f"unphysical covariance: min symplectic eigenvalue "
                 f"{spectrum[0]!r} < 1/2"
             )
-        return cls(
-            matrix=m,
-            x_block=m[:2, :2].copy(),
-            b_block=m[2:, 2:].copy(),
-            z_block=m[:2, 2:].copy(),
-            det_x=float(np.linalg.det(m[:2, :2])),
-            det_b=float(np.linalg.det(m[2:, 2:])),
-            det_z=float(np.linalg.det(m[:2, 2:])),
-            det_full=float(np.linalg.det(m)),
-            spectrum=spectrum,
+        det_x, det_b, det_z, det_full = (
+            float(np.linalg.det(block)) for block in (m[:2, :2], m[2:, 2:], m[:2, 2:], m)
         )
+        # the measures square delta = det X + det B +- 2 det Z and form
+        # 4 det sigma; for a physical state both are bounded by det_scale^2
+        det_scale = abs(det_x) + abs(det_b) + 2.0 * abs(det_z)
+        if not (math.isfinite(det_scale * det_scale) and math.isfinite(det_full)):
+            raise PhysicalityError(
+                f"covariance too large: its block determinants overflow "
+                f"(max |entry| = {scale:.3e})"
+            )
+        return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
+                   det_full=det_full, spectrum=spectrum)
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:
@@ -239,7 +238,7 @@ def gaussian_discord(cov: TwoModeCovariance | np.ndarray) -> float:
     """
     c = _as_cov(cov)
     _check_discord_branch(c)
-    return _discord(c, *symplectic_eigenvalues(c))[0]
+    return _discord(c, *symplectic_eigenvalues(c))
 
 
 def _check_discord_branch(c: TwoModeCovariance) -> None:
@@ -256,10 +255,9 @@ def _check_discord_branch(c: TwoModeCovariance) -> None:
         )
 
 
-def _discord(c: TwoModeCovariance, theta_plus: float,
-             theta_minus: float) -> tuple[float, float]:
-    """(D, delta) of :func:`gaussian_discord` on a covariance already checked
-    to lie on its branch, given its symplectic eigenvalues."""
+def _discord(c: TwoModeCovariance, theta_plus: float, theta_minus: float) -> float:
+    """:func:`gaussian_discord` of a covariance already checked to lie on its
+    branch, given its symplectic eigenvalues."""
     sqrt_det_x = math.sqrt(c.det_x)
     delta = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
     d = (
@@ -268,7 +266,7 @@ def _discord(c: TwoModeCovariance, theta_plus: float,
         - f_function(theta_minus)
         + f_function(delta)
     )
-    return _snap_floor(d), delta
+    return _snap_floor(d)
 
 
 def _snap_floor(value: float) -> float:
@@ -290,22 +288,18 @@ class CorrelationReport:
     nu_minus: float
     theta_plus: float
     theta_minus: float
-    delta_disc: float
     delta_pt: float      # det X + det B - 2 det Z (partial-transpose invariant)
     delta_sympl: float   # det X + det B + 2 det Z
-    stable: bool
 
 
-def correlation_report(
-    cov: TwoModeCovariance | np.ndarray, stable: bool = True
-) -> CorrelationReport:
+def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport:
     """Evaluate all measures on one two-mode covariance."""
     c = _as_cov(cov)
     s_ab, s_ba = gaussian_steering(c)
     en, nu_minus = log_negativity(c)
     _check_discord_branch(c)
     theta_plus, theta_minus = symplectic_eigenvalues(c)
-    discord, delta_disc = _discord(c, theta_plus, theta_minus)
+    discord = _discord(c, theta_plus, theta_minus)
     return CorrelationReport(
         steering_ab=s_ab,
         steering_ba=s_ba,
@@ -314,10 +308,8 @@ def correlation_report(
         nu_minus=nu_minus,
         theta_plus=theta_plus,
         theta_minus=theta_minus,
-        delta_disc=delta_disc,
         delta_pt=c.det_x + c.det_b - 2.0 * c.det_z,
         delta_sympl=c.det_x + c.det_b + 2.0 * c.det_z,
-        stable=stable,
     )
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "SdeConfig",
     "McEstimate",
     "McComparison",
-    "sample_noise_increment",
     "integrate_steady_covariance",
     "compare_to_lyapunov",
     "write_comparison_csv",
@@ -105,22 +104,6 @@ def _noise_factor(noise: np.ndarray) -> np.ndarray:
                 f"(min eigenvalue {eigvals.min()!r})"
             ) from None
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-
-
-def sample_noise_increment(noise: np.ndarray, dt: float, rng: np.random.Generator,
-                           size: int | None = None) -> np.ndarray:
-    """Draw noise increments with covariance ``noise * dt``.
-
-    Returns shape (8,) for ``size=None``, else ``(size, 8)``.  ``dt`` uses
-    the same time unit as ``noise`` is a rate in; dt = 0 gives exact zeros.
-    """
-    if dt < 0.0:
-        raise ConfigError(f"dt must be >= 0, got {dt!r}")
-    factor = _noise_factor(noise) * math.sqrt(dt)
-    n = noise.shape[0]
-    if size is None:
-        return factor @ rng.standard_normal(n)
-    return rng.standard_normal((size, n)) @ factor.T
 
 
 def _resolve_durations(config: SdeConfig, gamma_n: float, kappa_n: float,

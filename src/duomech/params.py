@@ -11,7 +11,6 @@ both (equal masses, linewidths, mechanical frequencies, drive strengths).
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -24,13 +23,9 @@ __all__ = [
     "DerivedParams",
     "thermal_occupancy",
     "squeezed_moments",
-    "single_photon_coupling",
-    "drive_amplitude",
-    "drive_phase",
     "effective_coupling",
     "cooperativity_from_power",
     "power_from_cooperativity",
-    "steady_state_amplitudes",
     "derive",
 ]
 
@@ -151,7 +146,6 @@ class DerivedParams:
     coupling: float      # many-photon optomechanical coupling [rad/s]
     cooperativity: float  # 4 G^2 / (gamma kappa)
     xi: float            # hopping_lambda / kappa
-    phi: float           # drive phase [rad]
     gamma_prime: float   # gamma (n_th + 1/2), mechanical noise weight [rad/s]
     kappa_prime: float   # kappa (n_sq + 1/2), optical noise weight [rad/s]
     gamma: float         # [rad/s]
@@ -191,36 +185,6 @@ def squeezed_moments(squeezing_r: float) -> tuple[float, float]:
         raise ConfigError(
             f"squeezing_r = {squeezing_r!r} is too large: sinh^2 r overflows"
         ) from None
-
-
-def single_photon_coupling(params: PhysicalParams) -> float:
-    """Vacuum optomechanical coupling (omega_c/L) sqrt(hbar / (m omega_m)) [rad/s]."""
-    return (params.omega_c / params.cavity_length) * math.sqrt(
-        HBAR / (params.mass * params.omega_m)
-    )
-
-
-def drive_amplitude(params: PhysicalParams) -> float:
-    """Coherent drive amplitude E = sqrt(2 kappa P / (hbar omega_l)) [1/s].
-
-    Requires the drive to be specified as a pump power; use
-    :func:`power_from_cooperativity` first when only the cooperativity is
-    known.
-    """
-    power = params.pump_power
-    if power is None:
-        power = power_from_cooperativity(params)
-    return math.sqrt(2.0 * params.kappa * power / (HBAR * params.omega_l))
-
-
-def drive_phase(params: PhysicalParams) -> float:
-    """Input laser phase that makes the mean cavity amplitude purely imaginary.
-
-    phi = -arctan[2 (Delta' + lambda) / kappa]
-    """
-    return -math.atan(
-        2.0 * (params.detuning_effective + params.hopping_lambda) / params.kappa
-    )
 
 
 def _drive_denominator(params: PhysicalParams) -> float:
@@ -273,21 +237,6 @@ def power_from_cooperativity(params: PhysicalParams) -> float:
     )
 
 
-def steady_state_amplitudes(params: PhysicalParams) -> tuple[complex, complex]:
-    """Steady-state mean amplitudes (cbar, bbar) of the cavity and mirror modes.
-
-    With the phase choice of :func:`drive_phase`, ``cbar`` is purely
-    imaginary up to rounding.
-    """
-    e_amp = drive_amplitude(params)
-    phi = drive_phase(params)
-    denom = params.kappa / 2.0 - 1j * (params.detuning_effective + params.hopping_lambda)
-    cbar = 1j * e_amp * cmath.exp(1j * phi) / denom
-    g1 = single_photon_coupling(params)
-    bbar = 1j * g1 * abs(cbar) ** 2 / (params.gamma / 2.0 + 1j * params.omega_m)
-    return cbar, bbar
-
-
 def derive(params: PhysicalParams) -> DerivedParams:
     """Compute every derived quantity the dynamics needs."""
     n_th = thermal_occupancy(params.omega_m, params.temperature)
@@ -304,7 +253,6 @@ def derive(params: PhysicalParams) -> DerivedParams:
         coupling=coupling,
         cooperativity=cooperativity,
         xi=params.hopping_lambda / params.kappa,
-        phi=drive_phase(params),
         gamma_prime=params.gamma * (n_th + 0.5),
         kappa_prime=params.kappa * (n_sq + 0.5),
         gamma=params.gamma,

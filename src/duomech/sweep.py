@@ -103,7 +103,7 @@ def evaluate_point(params: PhysicalParams) -> PointResult:
     except StabilityError:
         return PointResult(params, derived, False, None, None)
     cov = TwoModeCovariance.from_matrix(state.mechanical_block)
-    report = correlation_report(cov, stable=True)
+    report = correlation_report(cov)
     return PointResult(params, derived, True, state, report)
 
 

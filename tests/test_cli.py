@@ -44,6 +44,24 @@ def test_failed_points_leave_empty_fields_and_sweep_goes_on(tmp_path, config_fil
     assert capsys.readouterr().err.count("sinh^2 r overflows") == 2
 
 
+def test_overflowing_points_leave_empty_fields(tmp_path, config_file, capsys):
+    # from r ~ 90 the mirror block's determinants overflow: no made-up measures
+    out = tmp_path / "sweep.csv"
+    with np.errstate(all="ignore"):
+        code = main(["--config", str(config_file), "--sweep", "r=170:185:4",
+                     "--output", str(out)])
+    assert code == 0
+    body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in body[1:]]
+    assert [row["r"] for row in rows] == ["170", "175", "180", "185"]
+    measures = ("sigma1", "sigma12", "sigma13", "steering", "log_negativity",
+                "discord", "nu_minus")
+    for row in rows:
+        assert row["stable"] == "false"
+        assert all(row[name] == "" for name in measures)
+    assert capsys.readouterr().err.count("block determinants overflow") == 4
+
+
 def test_sweep_to_stdout(config_file, capsys):
     code = main(["--config", str(config_file), "--sweep", "r=0:1:2"])
     assert code == 0

@@ -10,6 +10,7 @@ from duomech import (
     validate_closed_forms,
     write_report_csv,
 )
+from duomech import dynamics
 from duomech.closedform import GridPoint, _derived_from_point
 from duomech.dynamics import solve_lyapunov, system_matrices
 from duomech.errors import ConfigError
@@ -139,6 +140,23 @@ class TestValidationReport:
 
     def test_no_unstable_points_in_default_grid(self, report):
         assert report.skipped_unstable == ()
+
+    def test_one_stability_check_per_point(self, monkeypatch):
+        # gamma = 0 leaves the mirrors undamped: a marginal drift, skipped
+        undamped = GridPoint(1.0, 1.0, 0.2, 0.0, N_TH)
+        grid = default_validation_grid() + [undamped]
+        calls = []
+        check = dynamics.check_stability
+
+        def counted(drift, scale=None):
+            calls.append(1)
+            return check(drift, scale)
+
+        monkeypatch.setattr(dynamics, "check_stability", counted)
+        report = validate_closed_forms(grid)
+        assert len(calls) == len(grid)
+        assert report.skipped_unstable == (undamped,)
+        assert len(report.rows) == len(grid) - 1
 
     def test_csv_artifact(self, report, tmp_path):
         path = tmp_path / "closedform_report.csv"

@@ -14,7 +14,6 @@ from duomech import (
     build_noise,
     check_stability,
     derive,
-    extract_block,
     solve_lyapunov,
     symplectic_spectrum,
     system_matrices,
@@ -113,7 +112,7 @@ class TestCheckStability:
     def test_no_dissipation_is_marginal(self):
         # pure beam-splitter rotation, no damping
         d = DerivedParams(n_th=0.0, n_sq=0.0, m_sq=0.0, coupling=1e3,
-                          cooperativity=1.0, xi=0.0, phi=0.0, gamma_prime=0.0,
+                          cooperativity=1.0, xi=0.0, gamma_prime=0.0,
                           kappa_prime=0.0, gamma=0.0, kappa=0.0, hopping_lambda=0.0)
         assert check_stability(build_drift(d)).verdict == "marginal"
 
@@ -123,6 +122,25 @@ class TestCheckStability:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             check_stability(np.zeros((2, 3)))
+
+    def test_structural_bound_across_parameter_space(self):
+        # coupling and hopping enter W antisymmetrically, so W + W^T is the
+        # damping alone and Re eig(W) <= -min(gamma, kappa)/2 at every point
+        rng = np.random.default_rng(20261018)
+        log_uniform = lambda lo, hi: 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        for _ in range(200):
+            gamma = log_uniform(1e-5, 1.0) * KAPPA
+            params = reference_params(
+                cooperativity=log_uniform(1e-3, 1e5),
+                hopping_lambda=log_uniform(1e-4, 10.0) * KAPPA,
+                gamma=gamma,
+            )
+            drift = build_drift(derive(params))
+            damping = np.diag([gamma] * 4 + [KAPPA] * 4)
+            assert np.array_equal(drift + drift.T, -damping), params
+            max_real = check_stability(drift).max_real
+            bound = -min(gamma, KAPPA) / 2.0
+            assert max_real <= bound + 1e-12 * np.abs(drift).max(), params
 
 
 class TestSolveLyapunov:
@@ -136,7 +154,7 @@ class TestSolveLyapunov:
         # G = 0, lambda = 0: -kappa sigma + R = 0 so sigma_opt = R_opt / kappa
         d = derive(reference_params(cooperativity=0.0, hopping_lambda=0.0))
         state = solve_lyapunov(system_matrices(d))
-        opt = extract_block(state, "optical")
+        opt = state.full[4:, 4:]
         n, m = d.n_sq, d.m_sq
         expected = np.diag([n + 0.5] * 4)
         expected[0, 2] = expected[2, 0] = m
@@ -208,22 +226,6 @@ class TestSolveLyapunov:
         broken[which][0, 0] *= 1.5   # mirror 1 only: damped or heated more
         with pytest.raises(UnsupportedBranchError, match=f"{which} matrix is not exchange"):
             solve_lyapunov(SystemMatrices(**broken))
-
-
-class TestExtractBlock:
-    def test_index_bookkeeping(self):
-        sigma = np.arange(64, dtype=float).reshape(8, 8)
-        sigma = 0.5 * (sigma + sigma.T)
-        state_like = sigma
-        assert np.array_equal(extract_block(state_like, "mechanical"), sigma[:4, :4])
-        assert np.array_equal(extract_block(state_like, "optical"), sigma[4:, 4:])
-        assert np.array_equal(
-            extract_block(state_like, "mechanical-optical"), sigma[:4, 4:]
-        )
-
-    def test_invalid_selector(self):
-        with pytest.raises(ValueError, match="mode pair"):
-            extract_block(np.eye(8), "acoustic")
 
 
 @pytest.fixture(scope="module")

@@ -156,7 +156,6 @@ class TestCorrelationReport:
         assert rep.steering_ab == pytest.approx(math.log(math.cosh(2.0)), abs=1e-9)
         assert rep.theta_plus == pytest.approx(0.5, abs=1e-9)
         assert rep.theta_minus == pytest.approx(0.5, abs=1e-9)
-        assert rep.stable
 
     def test_invariant_combinations(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(0.8))

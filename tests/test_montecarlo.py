@@ -14,7 +14,6 @@ from duomech import (
     compare_to_lyapunov,
     derive,
     integrate_steady_covariance,
-    sample_noise_increment,
     solve_lyapunov,
     system_matrices,
     write_comparison_csv,
@@ -68,42 +67,41 @@ class TestSdeConfig:
 
 
 class TestNoiseIncrements:
-    def test_zero_dt_gives_zero_vector(self):
-        noise = system_matrices(derive(reference_params())).noise
-        rng = np.random.default_rng(0)
-        assert np.array_equal(sample_noise_increment(noise, 0.0, rng), np.zeros(8))
+    # each Euler-Maruyama step draws factor @ N(0, dt I), so the increment
+    # covariance is L L^T dt with L = _noise_factor(R)
+
+    @staticmethod
+    def assert_factors(noise):
+        factor = montecarlo._noise_factor(noise)
+        assert np.max(np.abs(factor @ factor.T - noise)) <= 1e-12 * np.max(np.abs(noise))
 
     def test_vacuum_variances(self):
         # r = 0, T = 0: independent increments, variances gamma dt / 2 and kappa dt / 2
         d = derive(reference_params(squeezing_r=0.0, temperature=0.0))
         noise = system_matrices(d).noise
-        dt = 1e-6
-        rng = np.random.default_rng(42)
-        draws = sample_noise_increment(noise, dt, rng, size=200_000)
-        var = draws.var(axis=0)
-        for i, expected in enumerate([d.gamma * dt / 2] * 4 + [d.kappa * dt / 2] * 4):
-            se = expected * math.sqrt(2.0 / draws.shape[0])
-            assert abs(var[i] - expected) < 4.0 * se
+        assert np.array_equal(noise, np.diag([d.gamma / 2] * 4 + [d.kappa / 2] * 4))
+        self.assert_factors(noise)
 
     def test_squeezed_cross_correlation(self):
-        # r = 1: q_c1/q_c2 increment covariance = +M kappa dt within 4 SE
-        d = derive(reference_params(squeezing_r=1.0, temperature=0.0))
-        noise = system_matrices(d).noise
-        dt = 1e-6
-        rng = np.random.default_rng(7)
-        n = 1_000_000
-        draws = sample_noise_increment(noise, dt, rng, size=n)
-        cov_q = float(np.mean(draws[:, 4] * draws[:, 6]))
-        expected = d.m_sq * d.kappa * dt
-        se = math.sqrt((noise[4, 4] * noise[6, 6] + noise[4, 6] ** 2)) * dt / math.sqrt(n)
-        assert abs(cov_q - expected) < 4.0 * se
-        cov_y = float(np.mean(draws[:, 5] * draws[:, 7]))
-        assert abs(cov_y + expected) < 4.0 * se
+        # q_c1/q_c2 increments correlate by +M kappa dt, Y_c1/Y_c2 by -M kappa dt
+        for r_sq in (1.0, 3.0):
+            d = derive(reference_params(squeezing_r=r_sq, temperature=0.0))
+            noise = system_matrices(d).noise
+            assert noise[4, 6] == d.m_sq * d.kappa and noise[5, 7] == -d.m_sq * d.kappa
+            self.assert_factors(noise)
+
+    def test_singular_psd_noise_falls_back_to_eigh(self):
+        # exact zero pivots: Cholesky refuses, the eigendecomposition factors it
+        noise = np.kron(np.ones((2, 2)), np.diag([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(noise)
+        self.assert_factors(noise)
 
     def test_non_psd_noise_refused(self):
-        rng = np.random.default_rng(0)
+        drift = system_matrices(derive(fast_params())).drift
+        bad = SystemMatrices(drift=drift, noise=-np.eye(8))
         with pytest.raises(PhysicalityError, match="positive semidefinite"):
-            sample_noise_increment(-np.eye(8), 1.0, rng)
+            integrate_steady_covariance(bad, FAST_CONFIG)
 
 
 class TestIntegration:

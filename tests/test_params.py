@@ -8,14 +8,11 @@ from duomech import (
     PhysicalParams,
     cooperativity_from_power,
     derive,
-    drive_phase,
     effective_coupling,
     power_from_cooperativity,
     squeezed_moments,
-    steady_state_amplitudes,
     thermal_occupancy,
 )
-from duomech.params import single_photon_coupling
 
 TWO_PI = 2 * math.pi
 OMEGA_M = TWO_PI * 947e3
@@ -121,42 +118,6 @@ class TestEffectiveCoupling:
             cooperativity_from_power(reference_params())
         with pytest.raises(ConfigError, match="cooperativity"):
             power_from_cooperativity(reference_params(cooperativity=None, pump_power=1e-5))
-
-
-class TestDrivePhase:
-    def test_zero_at_resonant_hopping(self):
-        # Delta' + lambda = 0 -> phi = 0
-        p = reference_params(detuning=-0.2 * TWO_PI * 14000.0)
-        assert drive_phase(p) == 0.0
-
-    def test_large_detuning_limit(self):
-        p = reference_params(detuning=1e6 * TWO_PI * 14000.0)
-        assert drive_phase(p) == pytest.approx(-math.pi / 2, abs=1e-5)
-
-    def test_reference_point(self):
-        # red sideband with xi = 0.2
-        assert drive_phase(reference_params()) == pytest.approx(
-            1.5633827790741588, rel=1e-12
-        )
-
-
-class TestSteadyStateAmplitudes:
-    def test_no_drive_no_amplitudes(self):
-        p = reference_params(cooperativity=None, pump_power=0.0)
-        cbar, bbar = steady_state_amplitudes(p)
-        assert cbar == 0.0
-        assert bbar == 0.0
-
-    def test_phase_choice_makes_cavity_amplitude_imaginary(self):
-        cbar, _ = steady_state_amplitudes(reference_params())
-        assert abs(cbar.real) < 1e-10 * abs(cbar)
-        assert cbar.imag > 0.0
-
-    def test_amplitude_consistent_with_coupling(self):
-        p = reference_params(cooperativity=None, pump_power=1.0870397854047336e-05)
-        cbar, _ = steady_state_amplitudes(p)
-        g1 = single_photon_coupling(p)
-        assert g1 * abs(cbar) == pytest.approx(effective_coupling(p), rel=1e-12)
 
 
 class TestDerive:

@@ -6,6 +6,7 @@ import pytest
 from duomech import (
     BracketError,
     ConfigError,
+    PhysicalityError,
     SweepRow,
     SweepSpec,
     emit_csv,
@@ -51,6 +52,13 @@ class TestReferencePoint:
         evaluate_point(figure_preset("fig3").held)
         # the drift's stability check, then the mirror block's i Omega sigma
         assert shapes == [(8, 8), (4, 4)]
+
+    @pytest.mark.parametrize("r_sq", [100.0, 180.0])
+    def test_overflowing_mirror_block_is_a_physicality_error(self, r_sq):
+        # the mirror block passes 1e77, so its 4x4 determinant overflows
+        held = figure_preset("fig3").held.with_updates(squeezing_r=r_sq)
+        with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="overflow"):
+            evaluate_point(held)
 
 
 class TestSweepSpec:
