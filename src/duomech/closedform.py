@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .dynamics import solve_lyapunov, system_matrices
 from .errors import ConfigError, StabilityError
-from .params import DerivedParams
+from .params import DerivedParams, _coupling_from_cooperativity, _derived_params, squeezed_moments
 
 __all__ = [
     "MechanicalCovarianceClosed",
@@ -44,20 +44,17 @@ __all__ = [
     "write_report_csv",
 ]
 
+_KAPPA_RADS = 2.0 * math.pi * 14000.0      # cavity linewidth of the report [rad/s]
+_GRID_N_TH = 1.7380208490312972           # n_th at omega_m = 2 pi x 947 kHz, T = 0.1 mK
+
 
 @dataclass(frozen=True)
 class MechanicalCovarianceClosed:
-    """Closed-form (sigma1, sigma12, sigma13) with the inputs echoed."""
+    """Closed-form (sigma1, sigma12, sigma13)."""
 
     sigma1: float
     sigma12: float
     sigma13: float
-    cooperativity: float
-    squeezing_r: float
-    xi: float
-    gamma: float
-    kappa: float
-    n_th: float
 
 
 def _validate_inputs(coop: float, r: float, xi: float, gamma: float, kappa: float,
@@ -71,6 +68,25 @@ def _validate_inputs(coop: float, r: float, xi: float, gamma: float, kappa: floa
             raise ConfigError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _closed_form(c: float, r: float, xi: float, g: float, k: float, n_th: float,
+                 kappa_power: int) -> MechanicalCovarianceClosed:
+    """The closed form with ``kappa**kappa_power cosh(2r)`` in the variance
+    numerator; cosh 2r = 1 + 2N and sinh 2r = 2M from the squeezed moments."""
+    _validate_inputs(c, r, xi, g, k, n_th)
+    n_sq, m_sq = squeezed_moments(r)
+    ch, sh = 1.0 + 2.0 * n_sq, 2.0 * m_sq
+    two_n1 = 1.0 + 2.0 * n_th
+    gpk2 = (g + k) ** 2
+    sigma1 = (
+        c * (g + k) * (g * two_n1 + k**kappa_power * ch)
+        + two_n1 * (gpk2 + 4.0 * k * k * xi * xi)
+    ) / (2.0 * (gpk2 * (c + 1.0) + 4.0 * k * k * xi * xi))
+    den = (gpk2 + 4.0 * k * k * xi * xi) * ((c + 1.0) ** 2 + 4.0 * xi * xi)
+    sigma12 = k * c * sh * (k * c + g + 2.0 * k) * xi / den
+    sigma13 = k * c * sh * ((g + k) * (c + 1.0) - 4.0 * k * xi * xi) / (2.0 * den)
+    return MechanicalCovarianceClosed(sigma1=sigma1, sigma12=sigma12, sigma13=sigma13)
+
+
 def closed_sigma(
     cooperativity: float,
     squeezing_r: float,
@@ -80,24 +96,7 @@ def closed_sigma(
     n_th: float,
 ) -> MechanicalCovarianceClosed:
     """Verbatim reference closed form (see module docstring for its caveat)."""
-    _validate_inputs(cooperativity, squeezing_r, xi, gamma, kappa, n_th)
-    c, g, k = cooperativity, gamma, kappa
-    two_n1 = 1.0 + 2.0 * n_th
-    ch = math.cosh(2.0 * squeezing_r)
-    sh = math.sinh(2.0 * squeezing_r)
-    quad = k * k + 2.0 * k * g + g * g          # (gamma + kappa)^2, as printed
-    sigma1 = (
-        c * (g + k) * (g * two_n1 + k * k * ch)
-        + two_n1 * (quad + 4.0 * k * k * xi * xi)
-    ) / (2.0 * quad * (c + 1.0) + 8.0 * k * k * xi * xi)
-    den = (quad + 4.0 * k * k * xi * xi) * (c * c + 2.0 * c + 1.0 + 4.0 * xi * xi)
-    sigma12 = k * c * sh * (k * c + g + 2.0 * k) * xi / den
-    sigma13 = k * c * sh * ((g + k) * (c + 1.0) - 4.0 * k * xi * xi) / (2.0 * den)
-    return MechanicalCovarianceClosed(
-        sigma1=sigma1, sigma12=sigma12, sigma13=sigma13,
-        cooperativity=cooperativity, squeezing_r=squeezing_r, xi=xi,
-        gamma=gamma, kappa=kappa, n_th=n_th,
-    )
+    return _closed_form(cooperativity, squeezing_r, xi, gamma, kappa, n_th, 2)
 
 
 def closed_sigma_corrected(
@@ -115,24 +114,7 @@ def closed_sigma_corrected(
     mirror entries follow as sums/differences of the sector solutions.
     Agrees with the Lyapunov solve to rounding for all physical inputs.
     """
-    _validate_inputs(cooperativity, squeezing_r, xi, gamma, kappa, n_th)
-    c, g, k = cooperativity, gamma, kappa
-    two_n1 = 1.0 + 2.0 * n_th
-    ch = math.cosh(2.0 * squeezing_r)
-    sh = math.sinh(2.0 * squeezing_r)
-    gpk2 = (g + k) ** 2
-    sigma1 = (
-        c * (g + k) * (g * two_n1 + k * ch)
-        + two_n1 * (gpk2 + 4.0 * k * k * xi * xi)
-    ) / (2.0 * (gpk2 * (c + 1.0) + 4.0 * k * k * xi * xi))
-    den = (gpk2 + 4.0 * k * k * xi * xi) * ((c + 1.0) ** 2 + 4.0 * xi * xi)
-    sigma12 = k * c * sh * (k * c + g + 2.0 * k) * xi / den
-    sigma13 = k * c * sh * ((g + k) * (c + 1.0) - 4.0 * k * xi * xi) / (2.0 * den)
-    return MechanicalCovarianceClosed(
-        sigma1=sigma1, sigma12=sigma12, sigma13=sigma13,
-        cooperativity=cooperativity, squeezing_r=squeezing_r, xi=xi,
-        gamma=gamma, kappa=kappa, n_th=n_th,
-    )
+    return _closed_form(cooperativity, squeezing_r, xi, gamma, kappa, n_th, 1)
 
 
 @dataclass(frozen=True)
@@ -164,7 +146,6 @@ class ClosedFormRow:
 @dataclass(frozen=True)
 class ClosedFormReport:
     rows: tuple[ClosedFormRow, ...]
-    kappa: float
     skipped_unstable: tuple[GridPoint, ...]
     max_rel_dev_1: float
     max_rel_dev_12: float
@@ -187,23 +168,15 @@ def _rel_dev(a: float, b: float) -> float:
 
 def _derived_from_point(point: GridPoint, kappa: float) -> DerivedParams:
     gamma = point.gamma_over_kappa * kappa
-    coupling = math.sqrt(point.cooperativity * gamma * kappa / 4.0)
-    n_sq = math.sinh(point.squeezing_r) ** 2
-    m_sq = math.sinh(point.squeezing_r) * math.cosh(point.squeezing_r)
-    return DerivedParams(
-        n_th=point.n_th, n_sq=n_sq, m_sq=m_sq, coupling=coupling,
-        cooperativity=point.cooperativity, xi=point.xi,
-        gamma_prime=gamma * (point.n_th + 0.5),
-        kappa_prime=kappa * (n_sq + 0.5),
-        gamma=gamma, kappa=kappa, hopping_lambda=point.xi * kappa,
-    )
+    coupling = _coupling_from_cooperativity(point.cooperativity, gamma, kappa)
+    return _derived_params(point.n_th, point.squeezing_r, coupling, point.cooperativity,
+                           gamma, kappa, point.xi * kappa)
 
 
-def validate_closed_forms(
-    grid, kappa: float = 2.0 * math.pi * 14000.0
-) -> ClosedFormReport:
+def validate_closed_forms(grid) -> ClosedFormReport:
     """Compare the verbatim closed form against the Lyapunov solution on a
-    grid of :class:`GridPoint`; unstable points are skipped with notation.
+    grid of :class:`GridPoint` at kappa = 2 pi x 14 kHz; unstable points are
+    skipped with notation.
 
     The summary also re-evaluates the verbatim variance formula with rates
     normalized to kappa = 1, which isolates the inconsistent linewidth power
@@ -215,7 +188,7 @@ def validate_closed_forms(
     dev_r0: list[float] = [0.0]
     dev_norm: list[float] = [0.0]
     for point in grid:
-        derived = _derived_from_point(point, kappa)
+        derived = _derived_from_point(point, _KAPPA_RADS)
         try:
             mech = solve_lyapunov(system_matrices(derived)).mechanical_block
         except StabilityError:
@@ -223,7 +196,7 @@ def validate_closed_forms(
             continue
         s1_l, s12_l, s13_l = mech[0, 0], mech[0, 1], mech[0, 2]
         closed = closed_sigma(point.cooperativity, point.squeezing_r, point.xi,
-                              derived.gamma, kappa, point.n_th)
+                              derived.gamma, _KAPPA_RADS, point.n_th)
         row = ClosedFormRow(
             point=point,
             sigma1_closed=closed.sigma1, sigma1_lyap=float(s1_l),
@@ -243,7 +216,6 @@ def validate_closed_forms(
         dev_norm.append(_rel_dev(normalized.sigma1, float(s1_l)))
     return ClosedFormReport(
         rows=tuple(rows),
-        kappa=kappa,
         skipped_unstable=tuple(skipped),
         max_rel_dev_1=max((r.rel_dev_1 for r in rows), default=0.0),
         max_rel_dev_12=max((r.rel_dev_12 for r in rows), default=0.0),
@@ -254,9 +226,11 @@ def validate_closed_forms(
     )
 
 
-def default_validation_grid(n_th: float = 1.7380208490312972) -> list[GridPoint]:
+def default_validation_grid() -> list[GridPoint]:
     """Comparison grid: the undriven point, an r-scan without hopping, and an
-    r x xi scan at the standard drive strength."""
+    r x xi scan at the standard drive strength, all at the thermal occupancy
+    of the 0.1 mK bath."""
+    n_th = _GRID_N_TH
     grid = [GridPoint(0.0, 1.0, 0.2, 0.01, n_th)]
     for r in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]:
         grid.append(GridPoint(32.11, r, 0.0, 0.01, n_th))
@@ -279,7 +253,7 @@ _CSV_COLUMNS = (
 def write_report_csv(report: ClosedFormReport, path) -> None:
     """Write the discrepancy report; '#' metadata lines carry the summary."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# kappa_rads={report.kappa:.17g}\n")
+        fh.write(f"# kappa_rads={_KAPPA_RADS:.17g}\n")
         fh.write(f"# skipped_unstable={len(report.skipped_unstable)}\n")
         fh.write(f"# max_rel_dev_1={report.max_rel_dev_1:.17g}\n")
         fh.write(f"# max_rel_dev_12={report.max_rel_dev_12:.17g}\n")

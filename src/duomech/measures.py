@@ -65,8 +65,7 @@ class TwoModeCovariance:
     block determinants and symplectic spectrum.
 
     ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
-    here; ``validate`` decides only whether a spectrum below the vacuum bound
-    raises.
+    here; a spectrum below the vacuum bound raises :class:`PhysicalityError`.
     """
 
     matrix: np.ndarray
@@ -77,7 +76,7 @@ class TwoModeCovariance:
     spectrum: np.ndarray
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, validate: bool = True) -> "TwoModeCovariance":
+    def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 covariance, got shape {m.shape}")
@@ -88,7 +87,7 @@ class TwoModeCovariance:
             raise PhysicalityError("covariance matrix must be symmetric")
         m = 0.5 * (m + m.T)
         spectrum = symplectic_spectrum(m)
-        if validate and spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
+        if spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
             raise PhysicalityError(
                 f"unphysical covariance: min symplectic eigenvalue "
                 f"{spectrum[0]!r} < 1/2"
@@ -211,15 +210,17 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     """(E_N, nu_minus): logarithmic negativity in nats and the smallest
     symplectic eigenvalue of the partially transposed covariance.
 
-    nu_minus = sqrt[(Delta - sqrt(Delta^2 - 4 det sigma)) / 2] with
-    Delta = det X + det B - 2 det Z; the modes are entangled iff
-    nu_minus < 1/2, and E_N = max[0, -ln(2 nu_minus)].
+    nu_minus^2 = det sigma / nu_plus^2 with
+    nu_plus^2 = (Delta + sqrt(Delta^2 - 4 det sigma)) / 2 and
+    Delta = det X + det B - 2 det Z; the product form avoids the cancellation
+    in (Delta - sqrt(...)) / 2 when nu_minus << nu_plus.  The modes are
+    entangled iff nu_minus < 1/2, and E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
     delta = c.det_x + c.det_b - 2.0 * c.det_z
     det_scale = abs(c.det_x) + abs(c.det_b) + 2.0 * abs(c.det_z)
-    root = _clamped_sqrt_disc(delta, c.det_full, det_scale)
-    nu_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
+    nu_plus_sq = (delta + _clamped_sqrt_disc(delta, c.det_full, det_scale)) / 2.0
+    nu_minus = math.sqrt(c.det_full / nu_plus_sq) if c.det_full > 0.0 else 0.0
     if nu_minus <= 0.0:
         raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus
@@ -288,8 +289,6 @@ class CorrelationReport:
     nu_minus: float
     theta_plus: float
     theta_minus: float
-    delta_pt: float      # det X + det B - 2 det Z (partial-transpose invariant)
-    delta_sympl: float   # det X + det B + 2 det Z
 
 
 def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport:
@@ -308,8 +307,6 @@ def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport
         nu_minus=nu_minus,
         theta_plus=theta_plus,
         theta_minus=theta_minus,
-        delta_pt=c.det_x + c.det_b - 2.0 * c.det_z,
-        delta_sympl=c.det_x + c.det_b + 2.0 * c.det_z,
     )
 
 

@@ -218,7 +218,7 @@ class McComparison:
     rel_dev: np.ndarray          # NaN where the exact entry has no usable scale
     max_abs_z: float
     n_unique_above_3se: int
-    max_rel_dev: float           # over entries with a usable scale
+    max_dev_of_scale: float      # max |deviation| / max |diagonal entry|
     passed: bool
 
 
@@ -249,14 +249,13 @@ def compare_to_lyapunov(mc: McEstimate,
     z_unique = np.abs(z[iu])
     n_above3 = int(np.count_nonzero(z_unique > 3.0))
     max_abs_z = float(z_unique.max())
-    max_rel = float(np.nanmax(rel)) if np.any(usable) else 0.0
     passed = bool(max_abs_z <= 4.0 and n_above3 <= 2)
     return McComparison(
         z_scores=z,
         rel_dev=rel,
         max_abs_z=max_abs_z,
         n_unique_above_3se=n_above3,
-        max_rel_dev=max_rel,
+        max_dev_of_scale=float(np.max(np.abs(dev))) / scale,
         passed=passed,
     )
 

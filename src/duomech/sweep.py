@@ -249,6 +249,10 @@ class CriticalHopping:
     iterations: int
 
 
+_XI_TOL = 1e-6    # xi-resolution of the bisection
+_EN_TOL = 1e-10   # E_N above this counts as entangled
+
+
 def _en_at_xi(held: PhysicalParams, xi: float) -> float:
     result = evaluate_point(_apply(held, "xi", xi))
     if result.report is None:
@@ -256,28 +260,27 @@ def _en_at_xi(held: PhysicalParams, xi: float) -> float:
     return result.report.log_negativity
 
 
-def find_critical_xi(held: PhysicalParams, bracket: tuple[float, float],
-                     xi_tol: float = 1e-6, en_tol: float = 1e-10) -> CriticalHopping:
+def find_critical_xi(held: PhysicalParams, bracket: tuple[float, float]) -> CriticalHopping:
     """Locate the hopping strength where the log-negativity reaches zero.
 
-    Bisects the indicator E_N > ``en_tol`` down to a xi-resolution of
-    ``xi_tol``; the bracket must satisfy E_N(lo) > 0 and E_N(hi) = 0.
+    Bisects the indicator E_N > 1e-10 down to a xi-resolution of 1e-6; the
+    bracket must satisfy E_N(lo) > 0 and E_N(hi) = 0.
     """
     lo, hi = bracket
     if not lo < hi:
         raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
     en_lo = _en_at_xi(held, lo)
     en_hi = _en_at_xi(held, hi)
-    if en_lo <= en_tol or en_hi > en_tol:
+    if en_lo <= _EN_TOL or en_hi > _EN_TOL:
         raise BracketError(
             "invalid bracket: need E_N(lo) > 0 and E_N(hi) = 0, got "
             f"E_N({lo:g}) = {en_lo!r}, E_N({hi:g}) = {en_hi!r}"
         )
     iterations = 0
-    while hi - lo > xi_tol:
+    while hi - lo > _XI_TOL:
         mid = 0.5 * (lo + hi)
         en_mid = _en_at_xi(held, mid)
-        if en_mid > en_tol:
+        if en_mid > _EN_TOL:
             lo, en_lo = mid, en_mid
         else:
             hi, en_hi = mid, en_mid
@@ -295,9 +298,11 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float | None) -> str:
+def _fmt(value: float | bool | None) -> str:
     if value is None:
         return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
     return f"{value:.17g}"
 
 
@@ -317,23 +322,5 @@ def _write_csv(rows, fh, metadata: dict | None) -> None:
         fh.write(f"# {key}={metadata[key]}\n")
     fh.write(",".join(CSV_COLUMNS) + "\n")
     for row in rows:
-        fields = (
-            _fmt(row.swept_value),
-            _fmt(row.curve_value),
-            _fmt(row.r),
-            _fmt(row.xi),
-            _fmt(row.temperature),
-            _fmt(row.gamma),
-            _fmt(row.kappa),
-            _fmt(row.cooperativity),
-            _fmt(row.n_th),
-            _fmt(row.sigma1),
-            _fmt(row.sigma12),
-            _fmt(row.sigma13),
-            _fmt(row.steering),
-            _fmt(row.log_negativity),
-            _fmt(row.discord),
-            _fmt(row.nu_minus),
-            "true" if row.stable else "false",
-        )
-        fh.write(",".join(fields) + "\n")
+        # SweepRow declares its fields in CSV_COLUMNS order
+        fh.write(",".join(_fmt(v) for v in vars(row).values()) + "\n")

@@ -55,6 +55,17 @@ class TestClosedSigmaLimits:
             closed_sigma(1.0, 1.0, 0.2, 0.0, KAPPA, N_TH)
 
 
+class TestOverflow:
+    def test_closed_forms_raise_config_error(self):
+        for closed in (closed_sigma, closed_sigma_corrected):
+            with pytest.raises(ConfigError, match="too large"):
+                closed(32.11, 400.0, 0.2, GAMMA, KAPPA, N_TH)
+
+    def test_validation_grid_raises_config_error(self):
+        with pytest.raises(ConfigError, match="too large"):
+            validate_closed_forms([GridPoint(32.11, 400.0, 0.2, 0.01, 1.7)])
+
+
 class TestCorrectedForm:
     @pytest.mark.parametrize("point", [
         GridPoint(32.11, 1.0, 0.2, 0.01, N_TH),

