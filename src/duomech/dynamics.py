@@ -154,6 +154,17 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
     return StabilityReport(verdict=verdict, max_real=max_real, threshold=eps)
 
 
+def _require_stable(drift: np.ndarray, scale: float | None = None) -> None:
+    """Raise :class:`StabilityError` unless ``drift`` is strictly stable."""
+    report = check_stability(drift, scale)
+    if not report.is_stable:
+        raise StabilityError(
+            f"drift matrix is {report.verdict} "
+            f"(max Re eig = {report.max_real:.6e} rad/s, "
+            f"threshold {report.threshold:.1e} rad/s); no steady state"
+        )
+
+
 _MAX_ASYMMETRY = 1e-10
 _MAX_RESIDUAL = 1e-10
 
@@ -223,13 +234,7 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
     scale = _rate_scale(w)
-    report = check_stability(w, scale)
-    if not report.is_stable:
-        raise StabilityError(
-            f"drift matrix is {report.verdict} "
-            f"(max Re eig = {report.max_real:.6e} rad/s, "
-            f"threshold {report.threshold:.1e} rad/s); no steady state"
-        )
+    _require_stable(w, scale)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
     wn = w / scale

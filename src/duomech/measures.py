@@ -73,6 +73,7 @@ class TwoModeCovariance:
     det_b: float
     det_z: float
     det_full: float
+    det_scale: float     # |det X| + |det B| + 2 |det Z|, see _disc_band
     spectrum: np.ndarray
 
     @classmethod
@@ -104,7 +105,7 @@ class TwoModeCovariance:
                 f"(max |entry| = {scale:.3e})"
             )
         return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
-                   det_full=det_full, spectrum=spectrum)
+                   det_full=det_full, det_scale=det_scale, spectrum=spectrum)
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:
@@ -162,25 +163,36 @@ def _clamped_sqrt_disc(delta: float, det_full: float, det_scale: float) -> float
     return math.sqrt(disc)
 
 
+def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float]:
+    """(plus, minus) = sqrt[(delta +- sqrt(delta^2 - 4 det sigma)) / 2], taken
+    as minus = sqrt(det sigma / plus^2), and both = det sigma ** 1/4 at
+    degeneracy: delta - sqrt(...), and there delta itself, lose digits."""
+    if c.det_full <= 0.0:
+        raise PhysicalityError(f"non-positive covariance determinant {c.det_full!r}")
+    root = _clamped_sqrt_disc(delta, c.det_full, c.det_scale)
+    if root == 0.0:
+        both = c.det_full ** 0.25
+        return both, both
+    plus_sq = (delta + root) / 2.0
+    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq)
+
+
 def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     """(theta_plus, theta_minus) of a two-mode covariance from the block
     determinants, cross-validated against the i*Omega*sigma spectrum that
     :class:`TwoModeCovariance` keeps.
 
     theta_pm = sqrt[(Delta' +- sqrt(Delta'^2 - 4 det sigma)) / 2] with
-    Delta' = det X + det B + 2 det Z.
+    Delta' = det X + det B + 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
     """
     c = _as_cov(cov)
     delta = c.det_x + c.det_b + 2.0 * c.det_z
-    det_scale = abs(c.det_x) + abs(c.det_b) + 2.0 * abs(c.det_z)
-    root = _clamped_sqrt_disc(delta, c.det_full, det_scale)
-    theta_plus = math.sqrt((delta + root) / 2.0)
-    theta_minus = math.sqrt(max((delta - root) / 2.0, 0.0))
+    theta_plus, theta_minus = _eigenvalue_pair(delta, c)
 
     ref = c.spectrum
     # Near spectral degeneracy neither route can resolve the split below the
     # discriminant roundoff band; widen the consistency tolerance accordingly.
-    band = _disc_band(delta, c.det_full, det_scale)
+    band = _disc_band(delta, c.det_full, c.det_scale)
     split_limit = math.sqrt(band) / (4.0 * max(theta_minus, 0.25))
     tol = 1e-9 * max(1.0, theta_plus) + split_limit
     if abs(theta_minus - ref[0]) > tol or abs(theta_plus - ref[1]) > tol:
@@ -210,17 +222,13 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     """(E_N, nu_minus): logarithmic negativity in nats and the smallest
     symplectic eigenvalue of the partially transposed covariance.
 
-    nu_minus^2 = det sigma / nu_plus^2 with
-    nu_plus^2 = (Delta + sqrt(Delta^2 - 4 det sigma)) / 2 and
-    Delta = det X + det B - 2 det Z; the product form avoids the cancellation
-    in (Delta - sqrt(...)) / 2 when nu_minus << nu_plus.  The modes are
-    entangled iff nu_minus < 1/2, and E_N = max[0, -ln(2 nu_minus)].
+    nu_pm = sqrt[(Delta +- sqrt(Delta^2 - 4 det sigma)) / 2] with
+    Delta = det X + det B - 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
+    The modes are entangled iff nu_minus < 1/2, and
+    E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
-    delta = c.det_x + c.det_b - 2.0 * c.det_z
-    det_scale = abs(c.det_x) + abs(c.det_b) + 2.0 * abs(c.det_z)
-    nu_plus_sq = (delta + _clamped_sqrt_disc(delta, c.det_full, det_scale)) / 2.0
-    nu_minus = math.sqrt(c.det_full / nu_plus_sq) if c.det_full > 0.0 else 0.0
+    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
     if nu_minus <= 0.0:
         raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus

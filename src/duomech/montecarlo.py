@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CovarianceState, SystemMatrices, check_stability
-from .errors import ConfigError, PhysicalityError, StabilityError
+from .dynamics import CovarianceState, SystemMatrices, _require_stable
+from .errors import ConfigError, PhysicalityError
 
 __all__ = [
     "SdeConfig",
@@ -63,10 +63,13 @@ class SdeConfig:
     def __post_init__(self) -> None:
         if not math.isfinite(self.dt) or self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        if self.n_trajectories < 1:
+        if self.n_trajectories < 2:
+            # one trajectory has no standard error, so no verdict
             raise ConfigError(
-                f"n_trajectories must be >= 1, got {self.n_trajectories!r}"
+                f"n_trajectories must be >= 2, got {self.n_trajectories!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
         for name in ("burn_in", "sample_duration"):
             value = getattr(self, name)
             if value is not None and (not math.isfinite(value) or value <= 0.0):
@@ -106,16 +109,16 @@ def _noise_factor(noise: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _resolve_durations(config: SdeConfig, gamma_n: float, kappa_n: float,
-                       coupling_n: float, lambda_n: float) -> tuple[int, int]:
+def _resolve_durations(config: SdeConfig, gamma_n: float, coupling_n: float,
+                       lambda_n: float) -> tuple[int, int]:
     """Validate and convert durations to step counts (rates in kappa units)."""
-    fastest = max(kappa_n, gamma_n, coupling_n, lambda_n)
+    fastest = max(1.0, gamma_n, coupling_n, lambda_n)
     if config.dt > 0.01 / fastest:
         raise ConfigError(
             f"dt = {config.dt!r} too coarse: must be <= 0.01/max rate "
             f"= {0.01 / fastest!r} (units of 1/kappa)"
         )
-    slowest = min(gamma_n, kappa_n)
+    slowest = min(gamma_n, 1.0)
     burn = 20.0 / gamma_n if config.burn_in is None else config.burn_in
     if burn < 10.0 / slowest:
         raise ConfigError(
@@ -130,27 +133,23 @@ def integrate_steady_covariance(matrices: SystemMatrices,
                                 config: SdeConfig | None = None) -> McEstimate:
     """Estimate the stationary covariance from an Euler-Maruyama ensemble.
 
-    Steps u <- u + W u dt + d.eta for ``n_trajectories`` in parallel; after
-    the burn-in every step contributes to a per-trajectory time average of
-    the outer product.  Deterministic for a fixed config (including seed).
+    Steps u <- u + W u dt + d.eta for ``n_trajectories`` in parallel over one
+    random stream; the first ``n_burn`` steps are burn-in, every later step
+    contributes to a per-trajectory time average of the outer product.
+    Deterministic for a fixed config (including seed).
     """
     if config is None:
         config = SdeConfig()
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
-    report = check_stability(w)
-    if not report.is_stable:
-        raise StabilityError(
-            f"drift matrix is {report.verdict} "
-            f"(max Re eig = {report.max_real:.6e} rad/s); refusing to integrate"
-        )
+    _require_stable(w)
 
     kappa = -2.0 * float(w[4, 4])
     wn = w / kappa
     rn = r / kappa
     gamma_n = -2.0 * float(wn[0, 0])
     n_burn, n_sample = _resolve_durations(
-        config, gamma_n, 1.0, abs(float(wn[0, 4])), abs(float(wn[7, 4]))
+        config, gamma_n, abs(float(wn[0, 4])), abs(float(wn[7, 4]))
     )
 
     dim = w.shape[0]
@@ -164,47 +163,32 @@ def integrate_steady_covariance(matrices: SystemMatrices,
     limit = _DIVERGENCE_FACTOR * scale_bound
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    n_total = n_burn + n_sample
+    # within a block, draws[k] holds the normal draws of step start + k and
+    # path[k] first that step's noise increment, then the state it drives
+    draws = np.empty((min(_BLOCK_STEPS, n_total), n_traj, dim))
+    path = np.empty_like(draws)
     u = np.zeros((n_traj, dim))
-
-    def run_block(u: np.ndarray, n_steps: int, accumulate: np.ndarray | None):
-        buf = np.empty((n_steps, n_traj, dim)) if accumulate is not None else None
-        z = rng.standard_normal((n_steps, n_traj, dim)) @ noise_step.T
-        for k in range(n_steps):
-            u = u @ stepper.T + z[k]
-            if buf is not None:
-                buf[k] = u
-        if accumulate is not None:
-            accumulate += buf.transpose(1, 2, 0) @ buf.transpose(1, 0, 2)
+    acc = np.zeros((n_traj, dim, dim))
+    for start in range(0, n_total, _BLOCK_STEPS):
+        n = min(_BLOCK_STEPS, n_total - start)
+        rng.standard_normal(out=draws[:n])
+        np.matmul(draws[:n], noise_step.T, out=path[:n])
+        for k in range(n):
+            u = path[k] = u @ stepper.T + path[k]
+        sampled = path[max(n_burn - start, 0):n]     # empty within burn-in
+        acc += sampled.transpose(1, 2, 0) @ sampled.transpose(1, 0, 2)
         if not np.all(np.abs(u) < limit):
             raise PhysicalityError(
                 f"trajectory diverged: |u| exceeded {limit:.3e} "
                 f"(expected scale {scale_bound:.3e})"
             )
-        return u
-
-    done = 0
-    while done < n_burn:
-        n = min(_BLOCK_STEPS, n_burn - done)
-        u = run_block(u, n, None)
-        done += n
-
-    acc = np.zeros((n_traj, dim, dim))
-    done = 0
-    while done < n_sample:
-        n = min(_BLOCK_STEPS, n_sample - done)
-        u = run_block(u, n, acc)
-        done += n
 
     per_traj = acc / n_sample
     per_traj = 0.5 * (per_traj + per_traj.transpose(0, 2, 1))
-    estimate = per_traj.mean(axis=0)
-    if n_traj > 1:
-        std_error = per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj)
-    else:
-        std_error = np.full((dim, dim), np.nan)
     return McEstimate(
-        cov_estimate=estimate,
-        std_error=std_error,
+        cov_estimate=per_traj.mean(axis=0),
+        std_error=per_traj.std(axis=0, ddof=1) / math.sqrt(n_traj),
         n_samples=n_traj * n_sample,
         config=config,
     )
@@ -222,8 +206,7 @@ class McComparison:
     passed: bool
 
 
-def compare_to_lyapunov(mc: McEstimate,
-                        exact: CovarianceState | np.ndarray) -> McComparison:
+def compare_to_lyapunov(mc: McEstimate, exact: CovarianceState) -> McComparison:
     """Per-entry z-scores and relative deviations against the exact solve.
 
     Passes when every unique entry sits within 4 standard errors and at most
@@ -232,7 +215,7 @@ def compare_to_lyapunov(mc: McEstimate,
     covariance scale; exactly-zero entries have no relative scale and are
     judged by their z-scores alone.
     """
-    sigma = exact.full if isinstance(exact, CovarianceState) else np.asarray(exact)
+    sigma = exact.full
     dev = mc.cov_estimate - sigma
     se = mc.std_error
     z = np.zeros_like(dev)
@@ -261,9 +244,9 @@ def compare_to_lyapunov(mc: McEstimate,
 
 
 def write_comparison_csv(comparison: McComparison, mc: McEstimate,
-                         exact: CovarianceState | np.ndarray, path) -> None:
+                         exact: CovarianceState, path) -> None:
     """One row per unique covariance entry."""
-    sigma = exact.full if isinstance(exact, CovarianceState) else np.asarray(exact)
+    sigma = exact.full
     cfg = mc.config
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# rng={mc.rng_algorithm} seed={cfg.seed}\n")

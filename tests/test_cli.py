@@ -116,6 +116,14 @@ def test_nothing_to_do(config_file, capsys):
     assert "nothing to do" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--mc-seed", "-1"),
+                                         ("--mc-trajectories", "1")])
+def test_mc_settings_without_a_verdict_refused(flag, value, capsys):
+    code = main(["--figure", "fig3", "--mc-validate", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_invalid_figure_choice(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--figure", "fig9"])

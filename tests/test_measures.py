@@ -178,6 +178,10 @@ class TestPartialTransposePrecision:
         assert np.array_equal(m, [[a, 0, c, 0], [0, a, 0, -c],
                                   [c, 0, a, 0], [0, -c, 0, a]])
         assert result.report.nu_minus == pytest.approx(a - c, rel=1e-8)
+        # and the spectrum of sigma itself is degenerate at sqrt(a^2 - c^2)
+        theta = math.sqrt((a - c) * (a + c))
+        assert result.report.theta_plus == result.report.theta_minus == pytest.approx(
+            theta, rel=1e-8)
         # the i Omega sigma eigenvalue route is itself about 2e-8 off at r = 8.9
         p = np.diag([1.0, 1.0, 1.0, -1.0])
         assert result.report.nu_minus == pytest.approx(

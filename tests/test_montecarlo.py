@@ -48,6 +48,7 @@ class TestSdeConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0), dict(dt=-0.1), dict(n_trajectories=0),
         dict(burn_in=-1.0), dict(sample_duration=0.0),
+        dict(seed=-1), dict(n_trajectories=1),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -129,6 +130,19 @@ class TestIntegration:
         assert np.array_equal(a.std_error, b.std_error)
         assert a.n_samples == b.n_samples
         assert a.rng_algorithm == "PCG64"
+
+    def test_block_boundary_does_not_matter(self, monkeypatch):
+        # 997 does not divide the 44 000 burn-in steps, so one block spans
+        # the end of burn-in; the random stream is the same either way
+        matrices = system_matrices(derive(fast_params()))
+        default = integrate_steady_covariance(matrices, FAST_CONFIG)
+        monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 997)
+        assert round(FAST_CONFIG.burn_in / FAST_CONFIG.dt) % 997 != 0
+        short = integrate_steady_covariance(matrices, FAST_CONFIG)
+        scale = np.max(np.abs(default.cov_estimate))
+        assert np.max(np.abs(short.cov_estimate - default.cov_estimate)) <= 1e-12 * scale
+        assert np.max(np.abs(short.std_error - default.std_error)) <= 1e-12 * scale
+        assert short.n_samples == default.n_samples
 
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
