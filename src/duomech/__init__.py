@@ -17,7 +17,6 @@ from .closedform import (
 from .config import EXAMPLE_CONFIG, load_config, parse_config
 from .constants import HBAR, KB
 from .dynamics import (
-    QUADRATURE_LABELS,
     CovarianceState,
     SystemMatrices,
     build_drift,
@@ -86,7 +85,7 @@ __all__ = [
     "effective_coupling", "derive",
     "cooperativity_from_power", "power_from_cooperativity",
     "parse_config", "load_config", "EXAMPLE_CONFIG",
-    "QUADRATURE_LABELS", "SystemMatrices", "CovarianceState", "build_drift",
+    "SystemMatrices", "CovarianceState", "build_drift",
     "build_noise", "system_matrices", "check_stability", "solve_lyapunov",
     "write_matrix",
     "TwoModeCovariance", "CorrelationReport", "f_function",

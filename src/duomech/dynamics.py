@@ -17,6 +17,8 @@ block is nu_minus < 1/2.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,6 @@ from .errors import PhysicalityError, StabilityError, UnsupportedBranchError
 from .params import DerivedParams
 
 __all__ = [
-    "QUADRATURE_LABELS",
     "SystemMatrices",
     "CovarianceState",
     "StabilityReport",
@@ -36,8 +37,6 @@ __all__ = [
     "solve_lyapunov",
     "write_matrix",
 ]
-
-QUADRATURE_LABELS = ("q_b1", "Y_b1", "q_b2", "Y_b2", "q_c1", "Y_c1", "q_c2", "Y_c2")
 
 _N = 8
 
@@ -121,10 +120,26 @@ def system_matrices(derived: DerivedParams) -> SystemMatrices:
 
 def _rate_scale(drift: np.ndarray) -> float:
     # diagonal carries -gamma/2 and -kappa/2, so this recovers max(gamma, kappa)
-    scale = 2.0 * float(np.max(np.abs(np.diag(drift))))
+    scale = 2.0 * float(np.abs(drift.diagonal()).max())
     if scale == 0.0:
         scale = max(float(np.max(np.abs(drift))), 1.0)
     return scale
+
+
+def _eigenvalues(m11: complex, m12: complex, m21: complex,
+                 m22: complex) -> tuple[complex, complex]:
+    """Both eigenvalues of the complex 2x2 matrix [[m11, m12], [m21, m22]]:
+    the one of larger modulus from the quadratic formula, the other as
+    det / that one, so neither is a difference of nearly equal terms."""
+    half_trace = 0.5 * (m11 + m22)
+    half_gap = 0.5 * (m11 - m22)
+    root = cmath.sqrt(half_gap * half_gap + m12 * m21)
+    if (half_trace.conjugate() * root).real < 0.0:
+        root = -root
+    big = half_trace + root
+    if big == 0.0:
+        return 0j, 0j
+    return big, (m11 * m22 - m12 * m21) / big
 
 
 def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityReport:
@@ -132,7 +147,10 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
 
     Stable iff max Re(eig) < -eps, marginal iff |max Re| <= eps, with the
     scale-aware tolerance eps = 1e-9 * max(gamma, kappa) (rates span several
-    decades, so an absolute tolerance would be meaningless).
+    decades, so an absolute tolerance would be meaningless).  An 8x8 drift
+    with the structure of :func:`_sector_drifts` has the spectrum of its two
+    2x2 sector drifts M+- and their complex conjugates; any other matrix
+    goes through ``np.linalg.eigvals``.
     """
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
@@ -140,11 +158,20 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
     if scale is None:
         scale = _rate_scale(drift)
     eps = 1e-9 * scale
-    try:
-        eigvals = np.linalg.eigvals(drift)
-    except np.linalg.LinAlgError as exc:
-        raise StabilityError(f"eigenvalue solver failed on drift matrix: {exc}") from exc
-    max_real = float(eigvals.real.max())
+    sectors = _sector_drifts(drift)
+    parts = [] if sectors is None else [
+        lam.real for m in sectors for lam in _eigenvalues(*m)
+    ]
+    # max() would pass over a NaN, so a non-finite drift goes to eigvals,
+    # which refuses it
+    if parts and math.isfinite(sum(parts)):
+        max_real = max(parts)
+    else:
+        try:
+            eigvals = np.linalg.eigvals(drift)
+        except np.linalg.LinAlgError as exc:
+            raise StabilityError(f"eigenvalue solver failed on drift matrix: {exc}") from exc
+        max_real = float(eigvals.real.max())
     if max_real < -eps:
         verdict = "stable"
     elif abs(max_real) <= eps:
@@ -172,10 +199,6 @@ _MAX_RESIDUAL = 1e-10
 # The permutation is its own inverse: quadrature n sits at position
 # _MODE_ORDER[n].
 _MODE_ORDER = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-_CAVITY_MODES = _MODE_ORDER.reshape(2, 4)
-# flat 8x8 index of entry (i, j) of the 4x4 block that couples the modes of
-# cavity k to those of cavity l, as [k, l, i, j]
-_MODE_BLOCKS = 8 * _CAVITY_MODES[:, None, :, None] + _CAVITY_MODES[None, :, None, :]
 # inverse: flat index into the (2, 4, 4) stack [same-cavity block,
 # cross-cavity block] of each entry of an exchange-symmetric 8x8 matrix
 _FROM_BLOCKS = (
@@ -184,48 +207,148 @@ _FROM_BLOCKS = (
     + _MODE_ORDER[None, :] % 4
 )
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
-_EYE4 = np.eye(4)
+
+# flat index of the entry that swapping the cavities (1 <-> 2) moves to (i, j)
+_SWAP = np.array([2, 3, 0, 1, 6, 7, 4, 5])
+_EXCHANGED = 8 * _SWAP[:, None] + _SWAP[None, :]
+# A drift that is exchange symmetric with every 2x2 block alpha I + beta J is
+# fixed by its rows 0 (q_b1) and 4 (q_c1), which hold each block's first row
+# (alpha, beta): entry (i, j) is _COVARIANT_SIGN[i, j] times the flat entry
+# _COVARIANT[i, j] of those rows -- row 0 for mechanical i, row 4 for cavity
+# i; the block of the same kind of mode as j, in i's cavity or the other;
+# column alpha on the block diagonal, beta off it, with -beta below it.
+_I, _J = np.arange(8)[:, None], np.arange(8)[None, :]
+_COVARIANT = 32 * (_I // 4) + 4 * (_J // 4) + 2 * ((_I // 2 + _J // 2) % 2) + (_I + _J) % 2
+_COVARIANT_SIGN = np.where((_I % 2 == 1) & (_J % 2 == 0), -1.0, 1.0)
+_DRIFT_ROWS = np.array([[0], [32]]) + np.arange(8)   # rows 0 and 4, flat
+del _I, _J
 
 
-def _split_sectors(m: np.ndarray, name: str) -> np.ndarray:
-    """(2, 4, 4) stack of the + and - collective-mode sectors of an
-    exchange-symmetric 8x8 matrix; :class:`UnsupportedBranchError` if it is
-    not exchange symmetric.
+def _noise_split_table() -> np.ndarray:
+    """(16, 64) complex map from a flat exchange-symmetric noise matrix to the
+    normal and anomalous parts of its sector blocks, as [sector][part][block].
 
-    In mode order the matrix is [[A, B], [B, A]]; in the (mode1 +- mode2)/sqrt2
-    basis it is block diagonal with sectors A + B and A - B.  They are formed
-    by exact addition and subtraction: a rotation by 1/sqrt2 would turn exact
-    zeros into rounding noise.
+    Any real 2x2 block (x11, x12, x21, x22) splits uniquely as
+    p I + q J + Z (a I + b J) with Z = diag(1, -1); its normal part is
+    p - i q = (x11 + x22)/2 + i (x21 - x12)/2 and its anomalous part is
+    a - i b = (x11 - x22)/2 - i (x12 + x21)/2.  The sector blocks are the
+    same-cavity block +- the cross-cavity one, read from cavity 1's rows.
     """
-    blocks = m.take(_MODE_BLOCKS)
-    if not (blocks[0] == blocks[1, ::-1]).all():
-        raise UnsupportedBranchError(
-            f"{name} matrix is not exchange symmetric (cavity 1 <-> 2); "
-            "the collective-mode sector solve does not apply"
-        )
-    return blocks[0, 0] + _PLUS_MINUS * blocks[0, 1]
+    split = np.array([[1.0, -1j, 1j, 1.0], [1.0, -1j, -1j, -1.0]]) / 2
+    table = np.zeros((2, 2, 4, _N * _N), dtype=complex)
+    for sector, sign in enumerate((1.0, -1.0)):
+        for block in range(4):
+            row, col = 4 * (block // 2), 4 * (block % 2)
+            for cross, weight in ((0, 1.0), (2, sign)):
+                for entry in range(4):
+                    flat = 8 * (row + entry // 2) + col + cross + entry % 2
+                    table[sector, :, block, flat] += weight * split[:, entry]
+    return table.reshape(16, _N * _N)
+
+
+_NOISE_SPLIT = _noise_split_table()
+
+
+def _sector_drifts(w: np.ndarray) -> tuple[tuple[complex, ...], ...] | None:
+    """The 2x2 complex drifts (M+, M-) of the collective-mode sectors, each as
+    row-major (m11, m12, m21, m22) over the modes (b, c), or None unless the
+    8x8 ``w`` is exchange symmetric with every 2x2 block alpha I + beta J.
+
+    A block alpha I + beta J, J = [[0, 1], [-1, 0]], acts on q + iY as
+    alpha - i beta.  In mode order the matrix is [[A, B], [B, A]], and the
+    (mode1 +- mode2)/sqrt2 sectors are A +- B, formed by exact addition and
+    subtraction.  For this model M+- = [[-gamma/2, G], [-G, -kappa/2 +- i lambda]].
+    """
+    if w.shape != (_N, _N) or not (w.take(_COVARIANT) * _COVARIANT_SIGN == w).all():
+        return None
+    (b0, b1, b2, b3, b4, b5, b6, b7), (c0, c1, c2, c3, c4, c5, c6, c7) = (
+        w.take(_DRIFT_ROWS).tolist()
+    )
+    # same-cavity and cross-cavity (_x) blocks: mechanical rows, then cavity rows
+    bb, bb_x, bc, bc_x = complex(b0, -b1), complex(b2, -b3), complex(b4, -b5), complex(b6, -b7)
+    cb, cb_x, cc, cc_x = complex(c0, -c1), complex(c2, -c3), complex(c4, -c5), complex(c6, -c7)
+    return ((bb + bb_x, bc + bc_x, cb + cb_x, cc + cc_x),
+            (bb - bb_x, bc - bc_x, cb - cb_x, cc - cc_x))
+
+
+def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
+                       anomalous: list[complex]) -> list[float]:
+    """Row-major 4x4 real covariance of one sector, in (q_b, Y_b, q_c, Y_c)
+    order, from its drift M and its normal and anomalous noise R_N, R_A.
+
+    Since (alpha I + beta J) Z = Z (alpha I - beta J), the sector equation
+    separates into M N + N M^dag = -R_N for the normal moments and
+    conj(M) A + A M^dag = -R_A for the anomalous ones.  Both are
+    L X + X M^dag = C, whose solution by Cayley-Hamilton is
+    X = P^-1 (L C + C adj(M^dag)) with P = L^2 + tr(M^dag) L + det(M^dag) I.
+    That gives P = 2 Re(tr M) M - 2i Im(det M) I for the normal moments and
+    P = 2 conj(tr M) conj(M) for the anomalous ones; det P is the product of
+    the sums of two eigenvalues of M or of conj(M), non-zero when M is stable.
+    """
+    m11, m12, m21, m22 = m
+    trace = m11 + m22
+    det = m11 * m22 - m12 * m21
+    # H = adj(M^dag)
+    h11, h12 = m22.conjugate(), -m21.conjugate()
+    h21, h22 = -m12.conjugate(), m11.conjugate()
+
+    r11, r12, r21, r22 = normal
+    k11 = -(m11 * r11 + m12 * r21 + r11 * h11 + r12 * h21)
+    k12 = -(m11 * r12 + m12 * r22 + r11 * h12 + r12 * h22)
+    k21 = -(m21 * r11 + m22 * r21 + r21 * h11 + r22 * h21)
+    k22 = -(m21 * r12 + m22 * r22 + r21 * h12 + r22 * h22)
+    a, b = 2.0 * trace.real, -2j * det.imag
+    p11, p12, p21, p22 = a * m11 + b, a * m12, a * m21, a * m22 + b
+    det_p = p11 * p22 - p12 * p21
+    n11 = (p22 * k11 - p12 * k21) / det_p
+    n12 = (p22 * k12 - p12 * k22) / det_p
+    n21 = (p11 * k21 - p21 * k11) / det_p
+    n22 = (p11 * k22 - p21 * k12) / det_p
+
+    # X = P^-1 (conj(M) C + C H) = (C + H^T C H / conj(det M)) / (2 conj(tr M))
+    r11, r12, r21, r22 = anomalous
+    g11, g12 = r11 * h11 + r12 * h21, r11 * h12 + r12 * h22
+    g21, g22 = r21 * h11 + r22 * h21, r21 * h12 + r22 * h22
+    inv_det = 1.0 / det.conjugate()
+    inv_trace = -0.5 / trace.conjugate()
+    a11 = (r11 + (h11 * g11 + h21 * g21) * inv_det) * inv_trace
+    a12 = (r12 + (h11 * g12 + h21 * g22) * inv_det) * inv_trace
+    a21 = (r21 + (h12 * g11 + h22 * g21) * inv_det) * inv_trace
+    a22 = (r22 + (h12 * g12 + h22 * g22) * inv_det) * inv_trace
+
+    # block N + Z A = [[Re(N + A), -Im(N + A)], [Im(N - A), Re(N - A)]]
+    u11, u12, u21, u22 = n11 + a11, n12 + a12, n21 + a21, n22 + a22
+    v11, v12, v21, v22 = n11 - a11, n12 - a12, n21 - a21, n22 - a22
+    return [
+        u11.real, -u11.imag, u12.real, -u12.imag,
+        v11.imag, v11.real, v12.imag, v12.real,
+        u21.real, -u21.imag, u22.real, -u22.imag,
+        v21.imag, v21.real, v22.imag, v22.real,
+    ]
 
 
 def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """Solve W sigma + sigma W^T + R = 0 for the steady-state covariance.
 
-    The two cavities are identical, so W and R are exchange symmetric and
-    split exactly into the sectors of the collective modes (mode1 +- mode2)/sqrt2.
-    Each sector's 4x4 equation is vectorized through the Kronecker identity
-    into a 16x16 linear system; both are solved in one stacked pivoted LU
-    call, and sigma is rebuilt from the sector covariances S+ and S- as
-    (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it.  Matrices
-    are normalized by the fastest rate before solving, which keeps the
-    systems well conditioned for gamma/kappa ratios down to 1e-4 (the
-    covariance itself is dimensionless and unaffected by the rescaling).
-    The asymmetry and residual gates act on the full 8x8 solution.
+    The two cavities are identical and the model is phase covariant, so W
+    splits exactly into the 2x2 complex drifts M+- of the collective modes
+    (mode1 +- mode2)/sqrt2 (see :func:`_sector_drifts`), and R into each
+    sector's normal and anomalous noise.  Each sector's 4x4 equation then
+    becomes two 2x2 equations with explicit solutions (see
+    :func:`_sector_covariance`), and sigma is rebuilt from the sector
+    covariances S+ and S- as (S+ + S-)/2 on the diagonal mode blocks and
+    (S+ - S-)/2 off it.  Matrices are normalized by the fastest rate before
+    solving (the covariance itself is dimensionless and unaffected by the
+    rescaling).  The asymmetry and residual gates act on the full 8x8
+    solution.
 
     Raises
     ------
     StabilityError
         If the drift is not strictly stable (no stationary state exists).
     UnsupportedBranchError
-        If W or R is not exchange symmetric, so the sector split does not apply.
+        If W is not exchange symmetric with phase-covariant 2x2 blocks, or R
+        is not exchange symmetric, so the sector solve does not apply.
     PhysicalityError
         If the solve leaves an asymmetry or residual beyond 1e-10, or a
         residual that is not a number, which signals a numerically
@@ -239,21 +362,25 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
     wn = w / scale
     rn = r / scale
-    w_sectors = _split_sectors(wn, "drift")
-    r_sectors = _split_sectors(rn, "noise")
-
-    # row-major vec(W S + S W^T) = (W (x) I + I (x) W) vec(S), built by
-    # broadcasting: index (sector, a, b, c, d) -> row 4a + b, column 4c + d
-    lhs = (
-        w_sectors[:, :, None, :, None] * _EYE4[None, None, :, None, :]
-        + _EYE4[None, :, None, :, None] * w_sectors[:, None, :, None, :]
-    ).reshape(2, 16, 16)
-    try:
-        s_plus, s_minus = np.linalg.solve(lhs, -r_sectors.reshape(2, 16, 1)).reshape(2, 4, 4)
-    except np.linalg.LinAlgError as exc:
-        raise PhysicalityError(f"singular vectorized Lyapunov system: {exc}") from exc
+    drifts = _sector_drifts(wn)
+    if drifts is None:
+        raise UnsupportedBranchError(
+            "drift matrix is not exchange symmetric (cavity 1 <-> 2) with "
+            "2x2 blocks alpha I + beta J (phase covariant); the collective-mode "
+            "sector solve does not apply"
+        )
+    if not (rn.take(_EXCHANGED) == rn).all():
+        raise UnsupportedBranchError(
+            "noise matrix is not exchange symmetric (cavity 1 <-> 2); "
+            "the collective-mode sector solve does not apply"
+        )
+    noise = (_NOISE_SPLIT @ rn.ravel()).tolist()
+    sectors = np.array(
+        _sector_covariance(drifts[0], noise[0:4], noise[4:8])
+        + _sector_covariance(drifts[1], noise[8:12], noise[12:16])
+    ).reshape(2, 4, 4)
     # (S+ + S-)/2 within one cavity's modes, (S+ - S-)/2 across the cavities
-    sigma = (0.5 * (s_plus + _PLUS_MINUS * s_minus)).take(_FROM_BLOCKS)
+    sigma = (0.5 * (sectors[0] + _PLUS_MINUS * sectors[1])).take(_FROM_BLOCKS)
 
     norm = float(np.abs(sigma).max())
     asym = float(np.abs(sigma - sigma.T).max())

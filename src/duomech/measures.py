@@ -93,9 +93,13 @@ class TwoModeCovariance:
                 f"unphysical covariance: min symplectic eigenvalue "
                 f"{spectrum[0]!r} < 1/2"
             )
-        det_x, det_b, det_z, det_full = (
-            float(np.linalg.det(block)) for block in (m[:2, :2], m[2:, 2:], m[:2, 2:], m)
+        (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
+            m.tolist()
         )
+        det_x = x11 * x22 - x12 * x21
+        det_b = b11 * b22 - b12 * b21
+        det_z = z11 * z22 - z12 * z21
+        det_full = float(np.linalg.det(m))
         # the measures square delta = det X + det B +- 2 det Z and form
         # 4 det sigma; for a physical state both are bounded by det_scale^2
         det_scale = abs(det_x) + abs(det_b) + 2.0 * abs(det_z)

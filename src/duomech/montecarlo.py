@@ -109,6 +109,16 @@ def _noise_factor(noise: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def _require_rate(name: str, rate: float, entry: str) -> None:
+    """Durations and the time unit come from the damping on the drift's
+    diagonal; a stable drift whose damping sits elsewhere has none there."""
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ConfigError(
+            f"{name} read from the drift diagonal (-2 {entry}) must be finite "
+            f"and positive, got {rate!r}"
+        )
+
+
 def _resolve_durations(config: SdeConfig, gamma_n: float, coupling_n: float,
                        lambda_n: float) -> tuple[int, int]:
     """Validate and convert durations to step counts (rates in kappa units)."""
@@ -145,9 +155,11 @@ def integrate_steady_covariance(matrices: SystemMatrices,
     _require_stable(w)
 
     kappa = -2.0 * float(w[4, 4])
+    _require_rate("kappa", kappa, "w[4, 4]")
     wn = w / kappa
     rn = r / kappa
     gamma_n = -2.0 * float(wn[0, 0])
+    _require_rate("gamma", gamma_n, "w[0, 0]")
     n_burn, n_sample = _resolve_durations(
         config, gamma_n, abs(float(wn[0, 4])), abs(float(wn[7, 4]))
     )

@@ -115,9 +115,39 @@ class TestCheckStability:
                           cooperativity=1.0, xi=0.0, gamma_prime=0.0,
                           kappa_prime=0.0, gamma=0.0, kappa=0.0, hopping_lambda=0.0)
         assert check_stability(build_drift(d)).verdict == "marginal"
+        # no dynamics at all: both sector eigenvalues are exactly zero
+        assert check_stability(np.zeros((8, 8))).verdict == "marginal"
 
     def test_growth_is_unstable(self):
         assert check_stability(np.eye(3), scale=1.0).verdict == "unstable"
+
+    def test_fallback_for_other_matrices(self):
+        # not 8x8, or 8x8 without the sector structure: 8x8 eigvals decides
+        assert check_stability(np.eye(3), scale=1.0).max_real == 1.0
+        drift = build_drift(derive(reference_params()))
+        drift[0, 0] *= 1.5      # mirror 1 only
+        report = check_stability(drift)
+        assert report.max_real == float(np.linalg.eigvals(drift).real.max())
+        assert report.is_stable
+
+    def test_sector_route_matches_eigvals_across_parameter_space(self):
+        # log-uniform C, xi, gamma/kappa down to 1e-5, strong coupling included
+        rng = np.random.default_rng(20261019)
+        log_uniform = lambda lo, hi: 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        corners = [(c, x, g) for c in (1e-3, 1e5) for x in (1e-4, 10.0) for g in (1e-5, 1.0)]
+        draws = [(log_uniform(1e-3, 1e5), log_uniform(1e-4, 10.0), log_uniform(1e-5, 1.0))
+                 for _ in range(500)]
+        for cooperativity, xi, gamma_over_kappa in corners + draws:
+            params = reference_params(
+                cooperativity=cooperativity,
+                hopping_lambda=xi * KAPPA,
+                gamma=gamma_over_kappa * KAPPA,
+            )
+            drift = build_drift(derive(params))
+            report = check_stability(drift)
+            expected = float(np.linalg.eigvals(drift).real.max())
+            assert abs(report.max_real - expected) <= 1e-12 * np.abs(drift).max(), params
+            assert (expected < -report.threshold) == report.is_stable, params
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -226,6 +256,16 @@ class TestSolveLyapunov:
         broken[which][0, 0] *= 1.5   # mirror 1 only: damped or heated more
         with pytest.raises(UnsupportedBranchError, match=f"{which} matrix is not exchange"):
             solve_lyapunov(SystemMatrices(**broken))
+
+    def test_refuses_drift_without_phase_covariance(self):
+        # exchange symmetric, but the q quadratures of both mirrors are damped
+        # more than the Y ones, so the blocks are no longer alpha I + beta J
+        matrices = system_matrices(derive(reference_params()))
+        drift = matrices.drift.copy()
+        drift[0, 0] *= 1.5
+        drift[2, 2] *= 1.5
+        with pytest.raises(UnsupportedBranchError, match="drift matrix"):
+            solve_lyapunov(SystemMatrices(drift=drift, noise=matrices.noise))
 
 
 @pytest.fixture(scope="module")

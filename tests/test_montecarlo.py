@@ -149,6 +149,16 @@ class TestIntegration:
         with pytest.raises(StabilityError):
             integrate_steady_covariance(bad, FAST_CONFIG)
 
+    @pytest.mark.parametrize("at,rate", [(4, "kappa"), (0, "gamma")])
+    def test_damping_off_the_read_diagonal_is_a_config_error(self, at, rate):
+        # strictly stable, but the damping of quadratures at, at + 1 sits off
+        # the diagonal entry the integrator reads its rate from
+        drift = -0.5 * np.eye(8)
+        drift[at:at + 2, at:at + 2] = [[0.0, 1.0], [-1.0, -1.0]]
+        matrices = SystemMatrices(drift=drift, noise=np.eye(8))
+        with pytest.raises(ConfigError, match=rate):
+            integrate_steady_covariance(matrices, FAST_CONFIG)
+
     def test_divergence_detector(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_DIVERGENCE_FACTOR", 1e-6)
         matrices = system_matrices(derive(fast_params()))

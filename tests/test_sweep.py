@@ -50,8 +50,9 @@ class TestReferencePoint:
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         evaluate_point(figure_preset("fig3").held)
-        # the drift's stability check, then the mirror block's i Omega sigma
-        assert shapes == [(8, 8), (4, 4)]
+        # the drift's stability check takes its 2x2 sector route, so only
+        # the mirror block's i Omega sigma spectrum reaches eigvals
+        assert shapes == [(4, 4)]
 
     @pytest.mark.parametrize("r_sq", [100.0, 180.0])
     def test_overflowing_mirror_block_is_a_physicality_error(self, r_sq):
