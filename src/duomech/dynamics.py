@@ -212,11 +212,11 @@ _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 _SWAP = np.array([2, 3, 0, 1, 6, 7, 4, 5])
 _EXCHANGED = 8 * _SWAP[:, None] + _SWAP[None, :]
 # A drift that is exchange symmetric with every 2x2 block alpha I + beta J is
-# fixed by its rows 0 (q_b1) and 4 (q_c1), which hold each block's first row
-# (alpha, beta): entry (i, j) is _COVARIANT_SIGN[i, j] times the flat entry
-# _COVARIANT[i, j] of those rows -- row 0 for mechanical i, row 4 for cavity
-# i; the block of the same kind of mode as j, in i's cavity or the other;
-# column alpha on the block diagonal, beta off it, with -beta below it.
+# fixed by rows 0 (q_b1) and 4 (q_c1), which hold the first row (alpha, beta)
+# of each block.  Entry (i, j) equals _COVARIANT_SIGN[i, j] times the flat
+# entry _COVARIANT[i, j]: in row 0 if i is a mechanical quadrature, row 4 if
+# a cavity one; in the block of j's kind of mode in i's own cavity or in the
+# other; at alpha on the 2x2 block diagonal, at beta off it, negated below it.
 _I, _J = np.arange(8)[:, None], np.arange(8)[None, :]
 _COVARIANT = 32 * (_I // 4) + 4 * (_J // 4) + 2 * ((_I // 2 + _J // 2) % 2) + (_I + _J) % 2
 _COVARIANT_SIGN = np.where((_I % 2 == 1) & (_J % 2 == 0), -1.0, 1.0)
