@@ -57,7 +57,6 @@ from .montecarlo import (
 from .params import (
     DerivedParams,
     PhysicalParams,
-    cooperativity_from_power,
     derive,
     effective_coupling,
     power_from_cooperativity,
@@ -83,7 +82,7 @@ __all__ = [
     "HBAR", "KB",
     "PhysicalParams", "DerivedParams", "thermal_occupancy", "squeezed_moments",
     "effective_coupling", "derive",
-    "cooperativity_from_power", "power_from_cooperativity",
+    "power_from_cooperativity",
     "parse_config", "load_config", "EXAMPLE_CONFIG",
     "SystemMatrices", "CovarianceState", "build_drift",
     "build_noise", "system_matrices", "check_stability", "solve_lyapunov",

@@ -142,7 +142,7 @@ def _eigenvalues(m11: complex, m12: complex, m21: complex,
     return big, (m11 * m22 - m12 * m21) / big
 
 
-def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityReport:
+def check_stability(drift: np.ndarray) -> StabilityReport:
     """Classify the drift spectrum as stable/marginal/unstable.
 
     Stable iff max Re(eig) < -eps, marginal iff |max Re| <= eps, with the
@@ -155,9 +155,7 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError(f"drift must be square, got shape {drift.shape}")
-    if scale is None:
-        scale = _rate_scale(drift)
-    eps = 1e-9 * scale
+    eps = 1e-9 * _rate_scale(drift)
     sectors = _sector_drifts(drift)
     parts = [] if sectors is None else [
         lam.real for m in sectors for lam in _eigenvalues(*m)
@@ -181,9 +179,9 @@ def check_stability(drift: np.ndarray, scale: float | None = None) -> StabilityR
     return StabilityReport(verdict=verdict, max_real=max_real, threshold=eps)
 
 
-def _require_stable(drift: np.ndarray, scale: float | None = None) -> None:
+def _require_stable(drift: np.ndarray) -> None:
     """Raise :class:`StabilityError` unless ``drift`` is strictly stable."""
-    report = check_stability(drift, scale)
+    report = check_stability(drift)
     if not report.is_stable:
         raise StabilityError(
             f"drift matrix is {report.verdict} "
@@ -356,8 +354,8 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
+    _require_stable(w)
     scale = _rate_scale(w)
-    _require_stable(w, scale)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
     wn = w / scale

@@ -65,7 +65,9 @@ class TwoModeCovariance:
     block determinants and symplectic spectrum.
 
     ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
-    here; a spectrum below the vacuum bound raises :class:`PhysicalityError`.
+    here.  This is the one place a covariance is validated: a spectrum below
+    the vacuum bound, overflowing block determinants or det sigma <= 0 raise
+    :class:`PhysicalityError`, and the measures do not repeat these gates.
     """
 
     matrix: np.ndarray
@@ -108,6 +110,8 @@ class TwoModeCovariance:
                 f"covariance too large: its block determinants overflow "
                 f"(max |entry| = {scale:.3e})"
             )
+        if det_full <= 0.0:
+            raise PhysicalityError(f"non-positive covariance determinant {det_full!r}")
         return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
                    det_full=det_full, det_scale=det_scale, spectrum=spectrum)
 
@@ -146,39 +150,30 @@ def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
     )
 
 
-def _clamped_sqrt_disc(delta: float, det_full: float, det_scale: float) -> float:
-    """sqrt(delta^2 - 4 det_full) with a degeneracy roundoff guard.
+def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float, float]:
+    """(plus, minus, band): plus, minus = sqrt[(delta +- sqrt(disc)) / 2]
+    with disc = delta^2 - 4 det sigma and ``band`` its :func:`_disc_band`.
+    minus is taken as sqrt(det sigma / plus^2), and both as det sigma ** 1/4
+    at degeneracy: delta - sqrt(disc), and there delta itself, lose digits.
 
     States produced by this system have exactly degenerate symplectic
-    spectra (delta^2 = 4 det_full), so the cancellation leaves the
+    spectra (delta^2 = 4 det sigma), so the cancellation leaves the
     discriminant straddling zero at roundoff level; the square root would
     amplify that into a spurious eigenvalue split.  Values inside the
     cancellation band snap to exact degeneracy; values negative beyond it
     mean a genuinely complex eigenvalue and are refused.
     """
-    disc = delta * delta - 4.0 * det_full
-    band = _disc_band(delta, det_full, det_scale)
+    disc = delta * delta - 4.0 * c.det_full
+    band = _disc_band(delta, c.det_full, c.det_scale)
     if disc < -max(band, 1e-12):
         raise PhysicalityError(
             f"complex symplectic eigenvalue: discriminant {disc!r} < 0"
         )
     if disc < band:
-        return 0.0
-    return math.sqrt(disc)
-
-
-def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float]:
-    """(plus, minus) = sqrt[(delta +- sqrt(delta^2 - 4 det sigma)) / 2], taken
-    as minus = sqrt(det sigma / plus^2), and both = det sigma ** 1/4 at
-    degeneracy: delta - sqrt(...), and there delta itself, lose digits."""
-    if c.det_full <= 0.0:
-        raise PhysicalityError(f"non-positive covariance determinant {c.det_full!r}")
-    root = _clamped_sqrt_disc(delta, c.det_full, c.det_scale)
-    if root == 0.0:
         both = c.det_full ** 0.25
-        return both, both
-    plus_sq = (delta + root) / 2.0
-    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq)
+        return both, both, band
+    plus_sq = (delta + math.sqrt(disc)) / 2.0
+    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq), band
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
@@ -190,13 +185,11 @@ def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, 
     Delta' = det X + det B + 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
     """
     c = _as_cov(cov)
-    delta = c.det_x + c.det_b + 2.0 * c.det_z
-    theta_plus, theta_minus = _eigenvalue_pair(delta, c)
+    theta_plus, theta_minus, band = _eigenvalue_pair(c.det_x + c.det_b + 2.0 * c.det_z, c)
 
     ref = c.spectrum
     # Near spectral degeneracy neither route can resolve the split below the
     # discriminant roundoff band; widen the consistency tolerance accordingly.
-    band = _disc_band(delta, c.det_full, c.det_scale)
     split_limit = math.sqrt(band) / (4.0 * max(theta_minus, 0.25))
     tol = 1e-9 * max(1.0, theta_plus) + split_limit
     if abs(theta_minus - ref[0]) > tol or abs(theta_plus - ref[1]) > tol:
@@ -215,8 +208,6 @@ def gaussian_steering(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float
     symmetric states this system produces.
     """
     c = _as_cov(cov)
-    if c.det_full <= 0.0:
-        raise PhysicalityError(f"non-positive covariance determinant {c.det_full!r}")
     s_ab = 0.5 * math.log(c.det_x / (4.0 * c.det_full))
     s_ba = 0.5 * math.log(c.det_b / (4.0 * c.det_full))
     return _snap_floor(s_ab), _snap_floor(s_ba)
@@ -232,7 +223,7 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
-    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
+    _, nu_minus, _ = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
     if nu_minus <= 0.0:
         raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus
@@ -250,11 +241,12 @@ def gaussian_discord(cov: TwoModeCovariance | np.ndarray) -> float:
     return a silently wrong value.
     """
     c = _as_cov(cov)
-    _check_discord_branch(c)
     return _discord(c, *symplectic_eigenvalues(c))
 
 
-def _check_discord_branch(c: TwoModeCovariance) -> None:
+def _discord(c: TwoModeCovariance, theta_plus: float, theta_minus: float) -> float:
+    """:func:`gaussian_discord` of ``c`` given its symplectic eigenvalues;
+    refuses a covariance off the branch its closed form covers."""
     scale = max(abs(c.det_x), abs(c.det_b), 1e-300)
     if c.det_z > _SNAP * scale:
         raise UnsupportedBranchError(
@@ -266,11 +258,6 @@ def _check_discord_branch(c: TwoModeCovariance) -> None:
             "gaussian_discord requires exchange-symmetric blocks "
             f"(det X = {c.det_x!r}, det B = {c.det_b!r})"
         )
-
-
-def _discord(c: TwoModeCovariance, theta_plus: float, theta_minus: float) -> float:
-    """:func:`gaussian_discord` of a covariance already checked to lie on its
-    branch, given its symplectic eigenvalues."""
     sqrt_det_x = math.sqrt(c.det_x)
     delta = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
     d = (
@@ -308,14 +295,12 @@ def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport
     c = _as_cov(cov)
     s_ab, s_ba = gaussian_steering(c)
     en, nu_minus = log_negativity(c)
-    _check_discord_branch(c)
     theta_plus, theta_minus = symplectic_eigenvalues(c)
-    discord = _discord(c, theta_plus, theta_minus)
     return CorrelationReport(
         steering_ab=s_ab,
         steering_ba=s_ba,
         log_negativity=en,
-        discord=discord,
+        discord=_discord(c, theta_plus, theta_minus),
         nu_minus=nu_minus,
         theta_plus=theta_plus,
         theta_minus=theta_minus,

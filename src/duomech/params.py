@@ -24,7 +24,6 @@ __all__ = [
     "thermal_occupancy",
     "squeezed_moments",
     "effective_coupling",
-    "cooperativity_from_power",
     "power_from_cooperativity",
     "derive",
 ]
@@ -216,14 +215,6 @@ def effective_coupling(params: PhysicalParams) -> float:
         * params.pump_power
         / (params.mass * params.omega_m * params.omega_l * _drive_denominator(params))
     )
-
-
-def cooperativity_from_power(params: PhysicalParams) -> float:
-    """C = 4 G^2 / (gamma kappa) with G computed from the pump power."""
-    if params.pump_power is None:
-        raise ConfigError("cooperativity_from_power needs pump_power")
-    g2 = effective_coupling(params) ** 2
-    return 4.0 * g2 / (params.gamma * params.kappa)
 
 
 def power_from_cooperativity(params: PhysicalParams) -> float:

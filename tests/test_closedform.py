@@ -159,9 +159,9 @@ class TestValidationReport:
         calls = []
         check = dynamics.check_stability
 
-        def counted(drift, scale=None):
+        def counted(drift):
             calls.append(1)
-            return check(drift, scale)
+            return check(drift)
 
         monkeypatch.setattr(dynamics, "check_stability", counted)
         report = validate_closed_forms(grid)

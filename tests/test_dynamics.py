@@ -119,11 +119,11 @@ class TestCheckStability:
         assert check_stability(np.zeros((8, 8))).verdict == "marginal"
 
     def test_growth_is_unstable(self):
-        assert check_stability(np.eye(3), scale=1.0).verdict == "unstable"
+        assert check_stability(np.eye(3)).verdict == "unstable"
 
     def test_fallback_for_other_matrices(self):
         # not 8x8, or 8x8 without the sector structure: 8x8 eigvals decides
-        assert check_stability(np.eye(3), scale=1.0).max_real == 1.0
+        assert check_stability(np.eye(3)).max_real == 1.0
         drift = build_drift(derive(reference_params()))
         drift[0, 0] *= 1.5      # mirror 1 only
         report = check_stability(drift)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from duomech import measures
 from duomech import (
     PhysicalityError,
     TwoModeCovariance,
@@ -144,6 +145,13 @@ class TestTwoModeCovariance:
         with pytest.raises(PhysicalityError, match="symmetric"):
             TwoModeCovariance.from_matrix(m)
 
+    def test_rejects_non_positive_determinant(self, monkeypatch):
+        # a matrix that passes the symplectic gate has det sigma >= 1/16, so
+        # only a forced determinant reaches this gate
+        monkeypatch.setattr(np.linalg, "det", lambda m: 0.0)
+        with pytest.raises(PhysicalityError, match="non-positive covariance determinant"):
+            TwoModeCovariance.from_matrix(thermal_state(1.0))
+
     def test_cached_determinants(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(1.0))
         assert cov.det_x == pytest.approx(math.cosh(2.0) ** 2 / 4.0, rel=1e-12)
@@ -158,6 +166,20 @@ class TestCorrelationReport:
         assert rep.steering_ab == pytest.approx(math.log(math.cosh(2.0)), abs=1e-9)
         assert rep.theta_plus == pytest.approx(0.5, abs=1e-9)
         assert rep.theta_minus == pytest.approx(0.5, abs=1e-9)
+
+    def test_one_discriminant_band_per_eigenvalue_pair(self, monkeypatch):
+        # one band for the partial-transpose pair, one for theta_pm (which the
+        # spectrum cross-check reuses)
+        calls = []
+        band = measures._disc_band
+
+        def counted(*args):
+            calls.append(1)
+            return band(*args)
+
+        monkeypatch.setattr(measures, "_disc_band", counted)
+        correlation_report(TwoModeCovariance.from_matrix(two_mode_squeezed_state(1.0)))
+        assert len(calls) == 2
 
     def test_invariant_combinations(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(0.8))

@@ -6,7 +6,6 @@ import pytest
 from duomech import (
     ConfigError,
     PhysicalParams,
-    cooperativity_from_power,
     derive,
     effective_coupling,
     power_from_cooperativity,
@@ -96,7 +95,7 @@ class TestEffectiveCoupling:
 
     def test_power_cooperativity_round_trip(self):
         p_power = reference_params(cooperativity=None, pump_power=1.1e-5)
-        c = cooperativity_from_power(p_power)
+        c = derive(p_power).cooperativity
         p_coop = reference_params(cooperativity=c)
         assert power_from_cooperativity(p_coop) == pytest.approx(1.1e-5, rel=1e-12)
 
@@ -114,8 +113,6 @@ class TestEffectiveCoupling:
             reference_params(cooperativity=None, pump_power=None)
 
     def test_conversion_helpers_check_drive_kind(self):
-        with pytest.raises(ConfigError, match="pump_power"):
-            cooperativity_from_power(reference_params())
         with pytest.raises(ConfigError, match="cooperativity"):
             power_from_cooperativity(reference_params(cooperativity=None, pump_power=1e-5))
 

@@ -239,3 +239,41 @@ class TestFindCriticalXi:
         edge = lambda xi: evaluate_point(_apply(held, "xi", xi)).report.log_negativity
         assert result.en_lo == edge(result.bracket_lo)
         assert result.en_hi == edge(result.bracket_hi)
+
+
+class TestMarginalDrift:
+    """At C = 0 the slowest drift eigenvalue is exactly -gamma/2, which the
+    stability check's 1e-9 max(gamma, kappa) band calls marginal once
+    gamma/kappa <= 2e-9: a valid input that reads stable=false without
+    having failed."""
+
+    @staticmethod
+    def undriven(gamma_over_kappa):
+        held = figure_preset("fig3").held
+        return held.with_updates(cooperativity=0.0, gamma=gamma_over_kappa * held.kappa)
+
+    @pytest.mark.parametrize("gamma_over_kappa,stable", [(1e-9, False), (3e-9, True)])
+    def test_verdict_boundary(self, gamma_over_kappa, stable):
+        result = evaluate_point(self.undriven(gamma_over_kappa))
+        assert result.stable is stable
+        assert (result.report is not None) is stable
+
+    def test_marginal_row_keeps_derived_fields(self, tmp_path):
+        spec = SweepSpec("T", 1e-6, 5e-3, 2, self.undriven(1e-10),
+                         curve_variable="gamma_over_kappa", curve_values=(1e-10,))
+        path = tmp_path / "marginal.csv"
+        emit_csv(run_sweep(spec), path)
+        lines = path.read_text().splitlines()[1:]
+        assert len(lines) == 2
+        for line in lines:
+            row = dict(zip(CSV_COLUMNS, line.split(",")))
+            assert row["stable"] == "false"
+            for name in ("xi", "C", "n_th"):
+                assert row[name] != ""
+            for name in ("sigma1", "sigma12", "sigma13", "steering",
+                         "log_negativity", "discord", "nu_minus"):
+                assert row[name] == ""
+
+    def test_bisection_refuses_marginal_point(self):
+        with pytest.raises(BracketError, match="xi=0.0 is unstable"):
+            find_critical_xi(self.undriven(1e-10), (0.0, 1.0))
