@@ -8,6 +8,8 @@ Quadrature ordering (program-wide constant)::
 
 b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
+``_drift`` and ``_noise`` are the one place this layout is written; the
+stability check and the solve decode W and R by rebuilding them.
 
 Convention: vacuum quadrature variance is 1/2.  The covariance matrix sigma
 of symmetric-ordered moments is physical iff every symplectic eigenvalue is
@@ -73,6 +75,30 @@ class CovarianceState:
     residual: float
 
 
+def _drift(gamma: float, kappa: float, coupling: float, lam: float) -> np.ndarray:
+    """The one description of where each rate sits in the drift W."""
+    w = np.zeros((_N, _N))
+    for i in range(4):
+        w[i, i] = -gamma / 2.0
+        w[i, i + 4] = coupling
+        w[i + 4, i] = -coupling
+        w[i + 4, i + 4] = -kappa / 2.0
+    w[4, 7] = w[6, 5] = -lam
+    w[5, 6] = w[7, 4] = lam
+    return w
+
+
+def _noise(gamma_prime: float, kappa_prime: float, m_kappa: float) -> np.ndarray:
+    """The one description of where each noise weight sits in R."""
+    r = np.zeros((_N, _N))
+    for i in range(4):
+        r[i, i] = gamma_prime
+        r[i + 4, i + 4] = kappa_prime
+    r[4, 6] = r[6, 4] = m_kappa
+    r[5, 7] = r[7, 5] = -m_kappa
+    return r
+
+
 def build_drift(derived: DerivedParams) -> np.ndarray:
     """Assemble the 8x8 drift matrix.
 
@@ -81,19 +107,7 @@ def build_drift(derived: DerivedParams) -> np.ndarray:
     photon hopping enters the cavity block antisymmetrically, rotating the
     two cavity quadrature planes in opposite senses.
     """
-    g, k = derived.gamma, derived.kappa
-    gc, lam = derived.coupling, derived.hopping_lambda
-    w = np.zeros((_N, _N))
-    for i in range(4):
-        w[i, i] = -g / 2.0
-        w[i, i + 4] = gc
-        w[i + 4, i] = -gc
-        w[i + 4, i + 4] = -k / 2.0
-    w[4, 7] = -lam
-    w[5, 6] = +lam
-    w[6, 5] = -lam
-    w[7, 4] = +lam
-    return w
+    return _drift(derived.gamma, derived.kappa, derived.coupling, derived.hopping_lambda)
 
 
 def build_noise(derived: DerivedParams) -> np.ndarray:
@@ -104,18 +118,33 @@ def build_noise(derived: DerivedParams) -> np.ndarray:
     (positive for the q-q pair, negative for Y-Y).  Positive semidefinite
     since kappa'^2 - (M kappa)^2 = kappa^2/4 > 0.
     """
-    k, m_sq = derived.kappa, derived.m_sq
-    r = np.zeros((_N, _N))
-    for i in range(4):
-        r[i, i] = derived.gamma_prime
-        r[i + 4, i + 4] = derived.kappa_prime
-    r[4, 6] = r[6, 4] = m_sq * k
-    r[5, 7] = r[7, 5] = -m_sq * k
-    return r
+    return _noise(derived.gamma_prime, derived.kappa_prime, derived.m_sq * derived.kappa)
 
 
 def system_matrices(derived: DerivedParams) -> SystemMatrices:
     return SystemMatrices(drift=build_drift(derived), noise=build_noise(derived))
+
+
+def _decode(w: np.ndarray, r: np.ndarray | None = None) -> tuple[tuple | None, tuple | None]:
+    """(gamma, kappa, G, lambda) from ``w`` and (gamma', kappa', M kappa) from ``r``,
+    read where :func:`_drift` and :func:`_noise` write them; each is None
+    unless its builder rebuilds the matrix from it exactly."""
+    rates = weights = None
+    if w.shape == (_N, _N):
+        rates = (-2.0 * w.item(0, 0), -2.0 * w.item(4, 4), w.item(0, 4), w.item(7, 4))
+        rates = rates if (w == _drift(*rates)).all() else None
+    if r is not None and r.shape == (_N, _N):
+        weights = (r.item(0, 0), r.item(4, 4), r.item(4, 6))
+        weights = weights if (r == _noise(*weights)).all() else None
+    return rates, weights
+
+
+def _collective_drifts(gamma: float, kappa: float, coupling: float, lam: float) -> tuple:
+    """Row-major 2x2 complex drifts M+- = [[-gamma/2, G], [-G, -kappa/2 +- i lambda]]
+    over the modes (b, c) of the collective-mode sectors (mode1 +- mode2)/sqrt2."""
+    m11, m22 = -gamma / 2.0, -kappa / 2.0
+    return ((m11, coupling, -coupling, complex(m22, lam)),
+            (m11, coupling, -coupling, complex(m22, -lam)))
 
 
 def _rate_scale(drift: np.ndarray) -> float:
@@ -147,18 +176,18 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
 
     Stable iff max Re(eig) < -eps, marginal iff |max Re| <= eps, with the
     scale-aware tolerance eps = 1e-9 * max(gamma, kappa) (rates span several
-    decades, so an absolute tolerance would be meaningless).  An 8x8 drift
-    with the structure of :func:`_sector_drifts` has the spectrum of its two
-    2x2 sector drifts M+- and their complex conjugates; any other matrix
-    goes through ``np.linalg.eigvals``.
+    decades, so an absolute tolerance would be meaningless).  A drift that
+    :func:`build_drift` writes (see :func:`_decode`) has the spectrum of the
+    two 2x2 sector drifts M+- of its rates and their complex conjugates;
+    any other matrix goes through ``np.linalg.eigvals``.
     """
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError(f"drift must be square, got shape {drift.shape}")
     eps = 1e-9 * _rate_scale(drift)
-    sectors = _sector_drifts(drift)
-    parts = [] if sectors is None else [
-        lam.real for m in sectors for lam in _eigenvalues(*m)
+    rates = _decode(drift)[0]
+    parts = [] if rates is None else [
+        lam.real for m in _collective_drifts(*rates) for lam in _eigenvalues(*m)
     ]
     # max() would pass over a NaN, so a non-finite drift goes to eigvals,
     # which refuses it
@@ -206,73 +235,12 @@ _FROM_BLOCKS = (
 )
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
-# flat index of the entry that swapping the cavities (1 <-> 2) moves to (i, j)
-_SWAP = np.array([2, 3, 0, 1, 6, 7, 4, 5])
-_EXCHANGED = 8 * _SWAP[:, None] + _SWAP[None, :]
-# A drift that is exchange symmetric with every 2x2 block alpha I + beta J is
-# fixed by rows 0 (q_b1) and 4 (q_c1), which hold the first row (alpha, beta)
-# of each block.  Entry (i, j) equals _COVARIANT_SIGN[i, j] times the flat
-# entry _COVARIANT[i, j]: in row 0 if i is a mechanical quadrature, row 4 if
-# a cavity one; in the block of j's kind of mode in i's own cavity or in the
-# other; at alpha on the 2x2 block diagonal, at beta off it, negated below it.
-_I, _J = np.arange(8)[:, None], np.arange(8)[None, :]
-_COVARIANT = 32 * (_I // 4) + 4 * (_J // 4) + 2 * ((_I // 2 + _J // 2) % 2) + (_I + _J) % 2
-_COVARIANT_SIGN = np.where((_I % 2 == 1) & (_J % 2 == 0), -1.0, 1.0)
-_DRIFT_ROWS = np.array([[0], [32]]) + np.arange(8)   # rows 0 and 4, flat
-del _I, _J
 
-
-def _noise_split_table() -> np.ndarray:
-    """(16, 64) complex map from a flat exchange-symmetric noise matrix to the
-    normal and anomalous parts of its sector blocks, as [sector][part][block].
-
-    Any real 2x2 block (x11, x12, x21, x22) splits uniquely as
-    p I + q J + Z (a I + b J) with Z = diag(1, -1); its normal part is
-    p - i q = (x11 + x22)/2 + i (x21 - x12)/2 and its anomalous part is
-    a - i b = (x11 - x22)/2 - i (x12 + x21)/2.  The sector blocks are the
-    same-cavity block +- the cross-cavity one, read from cavity 1's rows.
-    """
-    split = np.array([[1.0, -1j, 1j, 1.0], [1.0, -1j, -1j, -1.0]]) / 2
-    table = np.zeros((2, 2, 4, _N * _N), dtype=complex)
-    for sector, sign in enumerate((1.0, -1.0)):
-        for block in range(4):
-            row, col = 4 * (block // 2), 4 * (block % 2)
-            for cross, weight in ((0, 1.0), (2, sign)):
-                for entry in range(4):
-                    flat = 8 * (row + entry // 2) + col + cross + entry % 2
-                    table[sector, :, block, flat] += weight * split[:, entry]
-    return table.reshape(16, _N * _N)
-
-
-_NOISE_SPLIT = _noise_split_table()
-
-
-def _sector_drifts(w: np.ndarray) -> tuple[tuple[complex, ...], ...] | None:
-    """The 2x2 complex drifts (M+, M-) of the collective-mode sectors, each as
-    row-major (m11, m12, m21, m22) over the modes (b, c), or None unless the
-    8x8 ``w`` is exchange symmetric with every 2x2 block alpha I + beta J.
-
-    A block alpha I + beta J, J = [[0, 1], [-1, 0]], acts on q + iY as
-    alpha - i beta.  In mode order the matrix is [[A, B], [B, A]], and the
-    (mode1 +- mode2)/sqrt2 sectors are A +- B, formed by exact addition and
-    subtraction.  For this model M+- = [[-gamma/2, G], [-G, -kappa/2 +- i lambda]].
-    """
-    if w.shape != (_N, _N) or not (w.take(_COVARIANT) * _COVARIANT_SIGN == w).all():
-        return None
-    (b0, b1, b2, b3, b4, b5, b6, b7), (c0, c1, c2, c3, c4, c5, c6, c7) = (
-        w.take(_DRIFT_ROWS).tolist()
-    )
-    # same-cavity and cross-cavity (_x) blocks: mechanical rows, then cavity rows
-    bb, bb_x, bc, bc_x = complex(b0, -b1), complex(b2, -b3), complex(b4, -b5), complex(b6, -b7)
-    cb, cb_x, cc, cc_x = complex(c0, -c1), complex(c2, -c3), complex(c4, -c5), complex(c6, -c7)
-    return ((bb + bb_x, bc + bc_x, cb + cb_x, cc + cc_x),
-            (bb - bb_x, bc - bc_x, cb - cb_x, cc - cc_x))
-
-
-def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
-                       anomalous: list[complex]) -> list[float]:
+def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
+                       kappa_prime: float, squeezing: float) -> list[float]:
     """Row-major 4x4 real covariance of one sector, in (q_b, Y_b, q_c, Y_c)
-    order, from its drift M and its normal and anomalous noise R_N, R_A.
+    order, from its drift M, its normal noise R_N = diag(gamma', kappa') and
+    its anomalous noise R_A = diag(0, +-M kappa) (``squeezing``).
 
     Since (alpha I + beta J) Z = Z (alpha I - beta J), the sector equation
     separates into M N + N M^dag = -R_N for the normal moments and
@@ -282,6 +250,7 @@ def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
     That gives P = 2 Re(tr M) M - 2i Im(det M) I for the normal moments and
     P = 2 conj(tr M) conj(M) for the anomalous ones; det P is the product of
     the sums of two eigenvalues of M or of conj(M), non-zero when M is stable.
+    Terms of the zero entries of R_N and R_A are left out.
     """
     m11, m12, m21, m22 = m
     trace = m11 + m22
@@ -290,11 +259,10 @@ def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
     h11, h12 = m22.conjugate(), -m21.conjugate()
     h21, h22 = -m12.conjugate(), m11.conjugate()
 
-    r11, r12, r21, r22 = normal
-    k11 = -(m11 * r11 + m12 * r21 + r11 * h11 + r12 * h21)
-    k12 = -(m11 * r12 + m12 * r22 + r11 * h12 + r12 * h22)
-    k21 = -(m21 * r11 + m22 * r21 + r21 * h11 + r22 * h21)
-    k22 = -(m21 * r12 + m22 * r22 + r21 * h12 + r22 * h22)
+    k11 = -(m11 * gamma_prime + gamma_prime * h11)
+    k12 = -(m12 * kappa_prime + gamma_prime * h12)
+    k21 = -(m21 * gamma_prime + kappa_prime * h21)
+    k22 = -(m22 * kappa_prime + kappa_prime * h22)
     a, b = 2.0 * trace.real, -2j * det.imag
     p11, p12, p21, p22 = a * m11 + b, a * m12, a * m21, a * m22 + b
     det_p = p11 * p22 - p12 * p21
@@ -303,16 +271,15 @@ def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
     n21 = (p11 * k21 - p21 * k11) / det_p
     n22 = (p11 * k22 - p21 * k12) / det_p
 
-    # X = P^-1 (conj(M) C + C H) = (C + H^T C H / conj(det M)) / (2 conj(tr M))
-    r11, r12, r21, r22 = anomalous
-    g11, g12 = r11 * h11 + r12 * h21, r11 * h12 + r12 * h22
-    g21, g22 = r21 * h11 + r22 * h21, r21 * h12 + r22 * h22
+    # X = P^-1 (conj(M) C + C H) = (C + H^T C H / conj(det M)) / (2 conj(tr M));
+    # C H has one non-zero row (g1, g2)
+    g1, g2 = squeezing * h21, squeezing * h22
     inv_det = 1.0 / det.conjugate()
     inv_trace = -0.5 / trace.conjugate()
-    a11 = (r11 + (h11 * g11 + h21 * g21) * inv_det) * inv_trace
-    a12 = (r12 + (h11 * g12 + h21 * g22) * inv_det) * inv_trace
-    a21 = (r21 + (h12 * g11 + h22 * g21) * inv_det) * inv_trace
-    a22 = (r22 + (h12 * g12 + h22 * g22) * inv_det) * inv_trace
+    a11 = h21 * g1 * inv_det * inv_trace
+    a12 = h21 * g2 * inv_det * inv_trace
+    a21 = h22 * g1 * inv_det * inv_trace
+    a22 = (squeezing + h22 * g2 * inv_det) * inv_trace
 
     # block N + Z A = [[Re(N + A), -Im(N + A)], [Im(N - A), Re(N - A)]]
     u11, u12, u21, u22 = n11 + a11, n12 + a12, n21 + a21, n22 + a22
@@ -328,25 +295,27 @@ def _sector_covariance(m: tuple[complex, ...], normal: list[complex],
 def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """Solve W sigma + sigma W^T + R = 0 for the steady-state covariance.
 
-    The two cavities are identical and the model is phase covariant, so W
-    splits exactly into the 2x2 complex drifts M+- of the collective modes
-    (mode1 +- mode2)/sqrt2 (see :func:`_sector_drifts`), and R into each
-    sector's normal and anomalous noise.  Each sector's 4x4 equation then
-    becomes two 2x2 equations with explicit solutions (see
-    :func:`_sector_covariance`), and sigma is rebuilt from the sector
-    covariances S+ and S- as (S+ + S-)/2 on the diagonal mode blocks and
-    (S+ - S-)/2 off it.  Matrices are normalized by the fastest rate before
-    solving (the covariance itself is dimensionless and unaffected by the
-    rescaling).  The asymmetry and residual gates act on the full 8x8
+    The model's rates are read from W and R and accepted only if the
+    builders rebuild W and R from them exactly (see :func:`_decode`).  The
+    cavities are identical and the model phase covariant, so the collective
+    modes (mode1 +- mode2)/sqrt2 decouple, each with drift M+- (see
+    :func:`_collective_drifts`), normal noise diag(gamma', kappa') and
+    anomalous noise +-M kappa.  Each sector's 4x4 equation becomes two 2x2
+    equations with explicit solutions (see :func:`_sector_covariance`), and
+    sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it.
+    Matrices are normalized by the fastest rate before solving (sigma is
+    dimensionless).  The asymmetry and residual gates act on the full 8x8
     solution.
 
     Raises
     ------
+    ValueError
+        If W or R is not 8x8.
     StabilityError
         If the drift is not strictly stable (no stationary state exists).
     UnsupportedBranchError
-        If W is not exchange symmetric with phase-covariant 2x2 blocks, or R
-        is not exchange symmetric, so the sector solve does not apply.
+        If W or R is not of the form the model's builders write, so the
+        sector solve does not apply.
     PhysicalityError
         If the solve leaves an asymmetry or residual beyond 1e-10, or a
         residual that is not a number, which signals a numerically
@@ -354,28 +323,24 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
-    _require_stable(w)
-    scale = _rate_scale(w)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
+    _require_stable(w)
+    scale = _rate_scale(w)
     wn = w / scale
     rn = r / scale
-    drifts = _sector_drifts(wn)
-    if drifts is None:
+    rates, weights = _decode(wn, rn)
+    if rates is None or weights is None:
+        which = "drift" if rates is None else "noise"
         raise UnsupportedBranchError(
-            "drift matrix is not exchange symmetric (cavity 1 <-> 2) with "
-            "2x2 blocks alpha I + beta J (phase covariant); the collective-mode "
-            "sector solve does not apply"
+            f"{which} matrix is not exchange symmetric (cavity 1 <-> 2) or not of the "
+            f"form build_{which} writes; the collective-mode sector solve does not apply"
         )
-    if not (rn.take(_EXCHANGED) == rn).all():
-        raise UnsupportedBranchError(
-            "noise matrix is not exchange symmetric (cavity 1 <-> 2); "
-            "the collective-mode sector solve does not apply"
-        )
-    noise = (_NOISE_SPLIT @ rn.ravel()).tolist()
+    gamma_prime, kappa_prime, m_kappa = weights
+    plus, minus = _collective_drifts(*rates)
     sectors = np.array(
-        _sector_covariance(drifts[0], noise[0:4], noise[4:8])
-        + _sector_covariance(drifts[1], noise[8:12], noise[12:16])
+        _sector_covariance(plus, gamma_prime, kappa_prime, m_kappa)
+        + _sector_covariance(minus, gamma_prime, kappa_prime, -m_kappa)
     ).reshape(2, 4, 4)
     # (S+ + S-)/2 within one cavity's modes, (S+ - S-)/2 across the cavities
     sigma = (0.5 * (sectors[0] + _PLUS_MINUS * sectors[1])).take(_FROM_BLOCKS)

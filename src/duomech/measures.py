@@ -65,9 +65,10 @@ class TwoModeCovariance:
     block determinants and symplectic spectrum.
 
     ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
-    here.  This is the one place a covariance is validated: a spectrum below
-    the vacuum bound, overflowing block determinants or det sigma <= 0 raise
-    :class:`PhysicalityError`, and the measures do not repeat these gates.
+    in :meth:`from_matrix`.  This is the one place a covariance is
+    validated: a spectrum below the vacuum bound, overflowing block
+    determinants or det sigma <= 0 raise :class:`PhysicalityError` however
+    the object is built, and the measures do not repeat these gates.
     """
 
     matrix: np.ndarray
@@ -77,6 +78,23 @@ class TwoModeCovariance:
     det_full: float
     det_scale: float     # |det X| + |det B| + 2 |det Z|, see _disc_band
     spectrum: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
+            raise PhysicalityError(
+                f"unphysical covariance: min symplectic eigenvalue "
+                f"{self.spectrum[0]!r} < 1/2"
+            )
+        # the measures square delta = det X + det B +- 2 det Z and form
+        # 4 det sigma; for a physical state both are bounded by det_scale^2
+        if not (math.isfinite(self.det_scale * self.det_scale)
+                and math.isfinite(self.det_full)):
+            raise PhysicalityError(
+                f"covariance too large: its block determinants overflow "
+                f"(max |entry| = {float(np.max(np.abs(self.matrix))):.3e})"
+            )
+        if self.det_full <= 0.0:
+            raise PhysicalityError(f"non-positive covariance determinant {self.det_full!r}")
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
@@ -89,31 +107,16 @@ class TwoModeCovariance:
         if np.max(np.abs(m - m.T)) > 1e-10 * scale:
             raise PhysicalityError("covariance matrix must be symmetric")
         m = 0.5 * (m + m.T)
-        spectrum = symplectic_spectrum(m)
-        if spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
-            raise PhysicalityError(
-                f"unphysical covariance: min symplectic eigenvalue "
-                f"{spectrum[0]!r} < 1/2"
-            )
         (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
             m.tolist()
         )
         det_x = x11 * x22 - x12 * x21
         det_b = b11 * b22 - b12 * b21
         det_z = z11 * z22 - z12 * z21
-        det_full = float(np.linalg.det(m))
-        # the measures square delta = det X + det B +- 2 det Z and form
-        # 4 det sigma; for a physical state both are bounded by det_scale^2
-        det_scale = abs(det_x) + abs(det_b) + 2.0 * abs(det_z)
-        if not (math.isfinite(det_scale * det_scale) and math.isfinite(det_full)):
-            raise PhysicalityError(
-                f"covariance too large: its block determinants overflow "
-                f"(max |entry| = {scale:.3e})"
-            )
-        if det_full <= 0.0:
-            raise PhysicalityError(f"non-positive covariance determinant {det_full!r}")
-        return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
-                   det_full=det_full, det_scale=det_scale, spectrum=spectrum)
+        return cls(matrix=m, spectrum=symplectic_spectrum(m),
+                   det_x=det_x, det_b=det_b, det_z=det_z,
+                   det_full=float(np.linalg.det(m)),
+                   det_scale=abs(det_x) + abs(det_b) + 2.0 * abs(det_z))
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:

@@ -100,18 +100,16 @@ class PhysicalParams:
             "temperature": self.temperature,
             "squeezing_r": self.squeezing_r,
             "hopping_lambda": self.hopping_lambda,
+            "pump_power": self.pump_power,        # None for the drive not given
+            "cooperativity": self.cooperativity,
         }
         for name, value in nonneg.items():
-            if not math.isfinite(value) or value < 0.0:
+            if value is not None and (not math.isfinite(value) or value < 0.0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
         if (self.pump_power is None) == (self.cooperativity is None):
             raise ConfigError(
                 "exactly one of pump_power and cooperativity must be supplied"
             )
-        if self.pump_power is not None and self.pump_power < 0.0:
-            raise ConfigError(f"pump_power must be >= 0, got {self.pump_power!r}")
-        if self.cooperativity is not None and self.cooperativity < 0.0:
-            raise ConfigError(f"cooperativity must be >= 0, got {self.cooperativity!r}")
         if self.omega_m / self.kappa <= RWA_MIN_RATIO or self.omega_m / self.gamma <= RWA_MIN_RATIO:
             warnings.warn(
                 "rotating-wave regime questionable: omega_m should exceed both "

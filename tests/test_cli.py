@@ -171,3 +171,13 @@ def test_mc_validate(tmp_path, capsys):
     assert code == 0, captured
     assert "mc-validate: PASS" in captured
     assert out.with_suffix(".mc.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("mode", [["--sweep", "r=0:1:3"], ["--find-critical-xi", "0:1"]])
+def test_non_finite_cooperativity_refused(tmp_path, capsys, value, mode):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(EXAMPLE_CONFIG.replace("= 32.11", f"= {value}"))
+    code = main(["--config", str(cfg)] + mode)
+    assert code == 2
+    assert "cooperativity must be finite" in capsys.readouterr().err

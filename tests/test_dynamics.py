@@ -267,6 +267,27 @@ class TestSolveLyapunov:
         with pytest.raises(UnsupportedBranchError, match="drift matrix"):
             solve_lyapunov(SystemMatrices(drift=drift, noise=matrices.noise))
 
+    def test_refuses_symmetric_covariant_drift_of_another_form(self):
+        # a mirror-mirror coupling mu I between b1 and b2 keeps W exchange
+        # symmetric and phase covariant, but build_drift never writes it
+        matrices = system_matrices(derive(reference_params()))
+        drift = matrices.drift.copy()
+        mu = 0.1 * GAMMA
+        drift[0:2, 2:4] = drift[2:4, 0:2] = mu * np.eye(2)
+        report = check_stability(drift)
+        assert report.max_real == float(np.linalg.eigvals(drift).real.max())
+        assert report.is_stable
+        with pytest.raises(UnsupportedBranchError, match="drift matrix"):
+            solve_lyapunov(SystemMatrices(drift=drift, noise=matrices.noise))
+
+    @pytest.mark.parametrize("drift, noise", [
+        (np.eye(3), np.eye(3)),
+        (np.eye(8), np.eye(3)),     # unstable drift, wrong noise shape
+    ])
+    def test_checks_shape_before_stability(self, drift, noise):
+        with pytest.raises(ValueError, match="must be 8x8"):
+            solve_lyapunov(SystemMatrices(drift=drift, noise=noise))
+
 
 @pytest.fixture(scope="module")
 def states():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,17 @@ class TestTwoModeCovariance:
         monkeypatch.setattr(np.linalg, "det", lambda m: 0.0)
         with pytest.raises(PhysicalityError, match="non-positive covariance determinant"):
             TwoModeCovariance.from_matrix(thermal_state(1.0))
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("det_full", 0.0, "non-positive covariance determinant"),
+        ("det_full", math.inf, "overflow"),
+        ("spectrum", np.array([0.3, 0.3]), "symplectic"),
+    ])
+    def test_gates_hold_however_the_object_is_built(self, field, value, match):
+        # dataclasses.replace runs the constructor, not from_matrix
+        cov = TwoModeCovariance.from_matrix(thermal_state(1.0))
+        with pytest.raises(PhysicalityError, match=match):
+            dataclasses.replace(cov, **{field: value})
 
     def test_cached_determinants(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(1.0))

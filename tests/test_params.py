@@ -140,11 +140,17 @@ class TestValidation:
     @pytest.mark.parametrize("field,value", [
         ("kappa", -1.0), ("kappa", 0.0), ("gamma", 0.0), ("mass", -1e-12),
         ("temperature", -1e-9), ("squeezing_r", -0.1), ("hopping_lambda", -1.0),
-        ("omega_m", float("nan")),
+        ("omega_m", float("nan")), ("cooperativity", float("nan")),
+        ("cooperativity", float("inf")),
     ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ConfigError):
             reference_params(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_pump_power_out_of_range(self, value):
+        with pytest.raises(ConfigError, match="pump_power must be finite and >= 0"):
+            reference_params(cooperativity=None, pump_power=value)
 
     def test_warns_outside_rwa_regime(self):
         with pytest.warns(UserWarning, match="rotating-wave"):
