@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,10 +50,16 @@ class TestSdeConfig:
         dict(dt=0.0), dict(dt=-0.1), dict(n_trajectories=0),
         dict(burn_in=-1.0), dict(sample_duration=0.0),
         dict(seed=-1), dict(n_trajectories=1),
+        dict(n_trajectories=2.5), dict(seed=1.5), dict(seed=True),
+        dict(n_trajectories=True), dict(seed="3"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             SdeConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        config = SdeConfig(n_trajectories=np.int64(4), seed=np.uint32(3))
+        assert config.n_trajectories == 4 and config.seed == 3
 
     def test_too_coarse_dt_rejected_at_integration(self):
         matrices = system_matrices(derive(fast_params()))
@@ -132,17 +139,44 @@ class TestIntegration:
         assert a.rng_algorithm == "PCG64"
 
     def test_block_boundary_does_not_matter(self, monkeypatch):
-        # 997 does not divide the 44 000 burn-in steps, so one block spans
-        # the end of burn-in; the random stream is the same either way
-        matrices = system_matrices(derive(fast_params()))
-        default = integrate_steady_covariance(matrices, FAST_CONFIG)
-        monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", 997)
-        assert round(FAST_CONFIG.burn_in / FAST_CONFIG.dt) % 997 != 0
-        short = integrate_steady_covariance(matrices, FAST_CONFIG)
-        scale = np.max(np.abs(default.cov_estimate))
-        assert np.max(np.abs(short.cov_estimate - default.cov_estimate)) <= 1e-12 * scale
-        assert np.max(np.abs(short.std_error - default.std_error)) <= 1e-12 * scale
-        assert short.n_samples == default.n_samples
+        # the random stream is the same however the steps are blocked: one
+        # block for the whole run is the reference, 997 does not divide the
+        # 8000 burn-in steps so one block spans the end of burn-in, and
+        # 1-step blocks catch a carried state aliasing a reused path row
+        # (4 trajectories keep the one-block buffers at 3.6 MB each)
+        matrices = system_matrices(derive(reference_params(gamma=0.3 * KAPPA)))
+        config = SdeConfig(burn_in=40.0, sample_duration=30.0,
+                           n_trajectories=4, seed=13)
+        n_burn = round(config.burn_in / config.dt)
+        n_total = n_burn + round(config.sample_duration / config.dt)
+        step_bytes = 8 * config.n_trajectories * 8
+        assert n_burn % 997 != 0
+
+        def run(block_steps):
+            monkeypatch.setattr(montecarlo, "_BUFFER_BYTES", block_steps * step_bytes)
+            return integrate_steady_covariance(matrices, config)
+
+        whole = run(2 * n_total)
+        scale = np.max(np.abs(whole.cov_estimate))
+        for block_steps in (997, 1):
+            blocked = run(block_steps)
+            assert np.max(np.abs(blocked.cov_estimate - whole.cov_estimate)) <= 1e-12 * scale
+            assert np.max(np.abs(blocked.std_error - whole.std_error)) <= 1e-12 * scale
+            assert blocked.n_samples == whole.n_samples
+
+    def test_working_set_does_not_grow_with_the_run(self):
+        # 14 000 steps of 128 trajectories: two block buffers of about 2 MiB
+        # each, where whole-run buffers would take 115 MB apiece
+        matrices = system_matrices(derive(reference_params(gamma=0.3 * KAPPA)))
+        config = SdeConfig(burn_in=40.0, sample_duration=30.0,
+                           n_trajectories=128, seed=3)
+        tracemalloc.start()
+        try:
+            integrate_steady_covariance(matrices, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
 
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
