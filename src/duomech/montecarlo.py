@@ -13,10 +13,13 @@ operators, the classical ensemble covariance of these trajectories equals
 the symmetric-ordered quantum covariance; that equivalence is what makes
 this module a valid independent check of the Lyapunov solution.
 
-Time runs in units of 1/kappa internally; configuration durations are
-expressed in those units.  The generator is numpy's PCG64, seeded
-explicitly, and the algorithm name is carried in the estimate for
-reproducibility.
+The oracle accepts only a drift that ``build_drift`` writes: it reads the
+rates (gamma, kappa, G, lambda) back through ``dynamics._decode`` and
+refuses any other drift, and any with a gamma or kappa that is not finite
+and positive, as a ``ConfigError``.  Time runs in units of 1/kappa
+internally; configuration durations are expressed in those units.  The
+generator is numpy's PCG64, seeded explicitly, and the algorithm name is
+carried in the estimate for reproducibility.
 
 The ensemble is stepped in blocks: each block draws its normals into one
 buffer and turns them into states in place in a second, and both buffers
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CovarianceState, SystemMatrices, _require_stable
+from .dynamics import CovarianceState, SystemMatrices, _decode, _require_stable
 from .errors import ConfigError, PhysicalityError
 
 __all__ = [
@@ -68,13 +71,19 @@ class SdeConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.dt) or self.dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {self.dt!r}")
-        for name in ("n_trajectories", "seed"):
+        for name, kind in (("dt", numbers.Real), ("burn_in", numbers.Real),
+                           ("sample_duration", numbers.Real),
+                           ("n_trajectories", numbers.Integral),
+                           ("seed", numbers.Integral)):
             value = getattr(self, name)
-            # a bool is an int to Python, but seed=True is no seed
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value is None and name in ("burn_in", "sample_duration"):
+                continue
+            # a bool is a number to Python, but seed=True is no seed
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+            if kind is numbers.Real and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
         if self.n_trajectories < 2:
             # one trajectory has no standard error, so no verdict
             raise ConfigError(
@@ -82,10 +91,6 @@ class SdeConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
-        for name in ("burn_in", "sample_duration"):
-            value = getattr(self, name)
-            if value is not None and (not math.isfinite(value) or value <= 0.0):
-                raise ConfigError(f"{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,19 +126,10 @@ def _noise_factor(noise: np.ndarray) -> np.ndarray:
         return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
 
 
-def _require_rate(name: str, rate: float, entry: str) -> None:
-    """Durations and the time unit come from the damping on the drift's
-    diagonal; a stable drift whose damping sits elsewhere has none there."""
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ConfigError(
-            f"{name} read from the drift diagonal (-2 {entry}) must be finite "
-            f"and positive, got {rate!r}"
-        )
-
-
 def _resolve_durations(config: SdeConfig, gamma_n: float, coupling_n: float,
-                       lambda_n: float) -> tuple[int, int]:
-    """Validate and convert durations to step counts (rates in kappa units)."""
+                       lambda_n: float) -> tuple[int, int, float]:
+    """Validate and convert durations to step counts (rates in kappa units);
+    also return the slowest rate, min(gamma, kappa)."""
     fastest = max(1.0, gamma_n, coupling_n, lambda_n)
     if config.dt > 0.01 / fastest:
         raise ConfigError(
@@ -148,7 +144,7 @@ def _resolve_durations(config: SdeConfig, gamma_n: float, coupling_n: float,
             f"= {10.0 / slowest!r} (units of 1/kappa)"
         )
     duration = 200.0 / gamma_n if config.sample_duration is None else config.sample_duration
-    return int(round(burn / config.dt)), max(int(round(duration / config.dt)), 1)
+    return int(round(burn / config.dt)), max(int(round(duration / config.dt)), 1), slowest
 
 
 def integrate_steady_covariance(matrices: SystemMatrices,
@@ -166,14 +162,17 @@ def integrate_steady_covariance(matrices: SystemMatrices,
     r = np.asarray(matrices.noise, dtype=float)
     _require_stable(w)
 
-    kappa = -2.0 * float(w[4, 4])
-    _require_rate("kappa", kappa, "w[4, 4]")
+    rates = _decode(w)[0]
+    if rates is None or not all(math.isfinite(x) and x > 0.0 for x in rates[:2]):
+        raise ConfigError(
+            "the trajectory oracle integrates only a drift that build_drift "
+            f"writes, with finite positive gamma and kappa (decoded rates: {rates!r})"
+        )
+    gamma, kappa, coupling, lam = rates
     wn = w / kappa
     rn = r / kappa
-    gamma_n = -2.0 * float(wn[0, 0])
-    _require_rate("gamma", gamma_n, "w[0, 0]")
-    n_burn, n_sample = _resolve_durations(
-        config, gamma_n, abs(float(wn[0, 4])), abs(float(wn[7, 4]))
+    n_burn, n_sample, slowest = _resolve_durations(
+        config, gamma / kappa, abs(coupling) / kappa, abs(lam) / kappa
     )
 
     dim = w.shape[0]
@@ -182,8 +181,7 @@ def integrate_steady_covariance(matrices: SystemMatrices,
     noise_step = _noise_factor(rn) * math.sqrt(config.dt)
 
     # crude stationary-scale bound for the divergence detector
-    min_rate = min(gamma_n, 1.0)
-    scale_bound = math.sqrt(float(np.trace(rn)) / min_rate) + 1.0
+    scale_bound = math.sqrt(float(np.trace(rn)) / slowest) + 1.0
     limit = _DIVERGENCE_FACTOR * scale_bound
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from duomech import EXAMPLE_CONFIG, build_drift, derive, load_config
+import duomech
+from duomech import EXAMPLE_CONFIG, build_drift, derive, load_config, montecarlo
 from duomech.cli import main
 from duomech.sweep import CSV_COLUMNS
 
@@ -104,6 +110,13 @@ def test_sweep_arg_format_errors(config_file, capsys):
     assert "START:STOP:N" in capsys.readouterr().err
 
 
+def test_curves_arg_format_errors(config_file, capsys):
+    code = main(["--config", str(config_file), "--sweep", "r=0:1:2",
+                 "--curves", "xi=a,b"])
+    assert code == 2
+    assert "--curves expects" in capsys.readouterr().err
+
+
 def test_bracket_arg_format_errors(config_file, capsys):
     code = main(["--config", str(config_file), "--find-critical-xi", "0-1"])
     assert code == 2
@@ -171,6 +184,39 @@ def test_mc_validate(tmp_path, capsys):
     assert code == 0, captured
     assert "mc-validate: PASS" in captured
     assert out.with_suffix(".mc.csv").exists()
+
+
+def test_mc_validate_too_coarse_dt_integrates_nothing(config_file, capsys,
+                                                      monkeypatch):
+    def no_integration(noise):
+        pytest.fail("the ensemble was set up despite a too coarse dt")
+
+    monkeypatch.setattr(montecarlo, "_noise_factor", no_integration)
+    code = main(["--config", str(config_file), "--mc-validate", "--mc-dt", "0.05"])
+    assert code == 2
+    assert "too coarse" in capsys.readouterr().err
+
+
+def test_pump_power_config_records_the_drive(tmp_path, capsys):
+    cfg = tmp_path / "power.cfg"
+    cfg.write_text(EXAMPLE_CONFIG.replace("cooperativity     = 32.11",
+                                          "pump_power_w = 1e-5"))
+    code = main(["--config", str(cfg), "--sweep", "r=0:1:2"])
+    assert code == 0
+    assert "# drive_cooperativity=power_w=1e-05\n" in capsys.readouterr().out
+
+
+def test_module_entry_point_exit_code(tmp_path):
+    package_root = str(Path(duomech.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "duomech", "--config", str(tmp_path / "missing.cfg"),
+         "--sweep", "r=0:1:2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

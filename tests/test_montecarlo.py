@@ -12,8 +12,10 @@ from duomech import (
     SdeConfig,
     StabilityError,
     SystemMatrices,
+    check_stability,
     compare_to_lyapunov,
     derive,
+    figure_preset,
     integrate_steady_covariance,
     solve_lyapunov,
     system_matrices,
@@ -52,6 +54,8 @@ class TestSdeConfig:
         dict(seed=-1), dict(n_trajectories=1),
         dict(n_trajectories=2.5), dict(seed=1.5), dict(seed=True),
         dict(n_trajectories=True), dict(seed="3"),
+        dict(dt="0.1"), dict(burn_in="5"), dict(sample_duration=[1]),
+        dict(dt=True), dict(burn_in=True), dict(sample_duration=True),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -60,6 +64,9 @@ class TestSdeConfig:
     def test_accepts_numpy_integers(self):
         config = SdeConfig(n_trajectories=np.int64(4), seed=np.uint32(3))
         assert config.n_trajectories == 4 and config.seed == 3
+        # any real, numpy floats and integers included, is a valid duration
+        config = SdeConfig(dt=np.float32(0.01), burn_in=300)
+        assert config.dt == np.float32(0.01) and config.burn_in == 300
 
     def test_too_coarse_dt_rejected_at_integration(self):
         matrices = system_matrices(derive(fast_params()))
@@ -192,6 +199,22 @@ class TestIntegration:
         matrices = SystemMatrices(drift=drift, noise=np.eye(8))
         with pytest.raises(ConfigError, match=rate):
             integrate_steady_covariance(matrices, FAST_CONFIG)
+
+    def test_stable_drift_the_builders_do_not_write_is_refused(self):
+        # fig3's held point at gamma = 0.05 kappa with a mirror-mirror
+        # coupling 0.1 gamma I added: still strictly stable, but not a drift
+        # build_drift writes, so its rates cannot be read back
+        held = figure_preset("fig3").held
+        d = derive(held.with_updates(gamma=0.05 * held.kappa))
+        matrices = system_matrices(d)
+        drift = matrices.drift.copy()
+        drift[0:2, 2:4] = drift[2:4, 0:2] = 0.1 * d.gamma * np.eye(2)
+        assert check_stability(drift).is_stable
+        config = SdeConfig(burn_in=220, sample_duration=1, n_trajectories=2, seed=1)
+        with pytest.raises(ConfigError, match="build_drift"):
+            integrate_steady_covariance(
+                SystemMatrices(drift=drift, noise=matrices.noise), config
+            )
 
     def test_divergence_detector(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_DIVERGENCE_FACTOR", 1e-6)
