@@ -9,8 +9,10 @@ Examples::
     duomech-sweep --figure fig3 --mc-validate --output fig3
     duomech-sweep --config system.cfg --dump-matrices --output point
 
-Exit code 0 on success, 1 when a requested validation fails, 2 on any
-configuration error.
+At most one of ``--sweep``, ``--find-critical-xi`` and ``--mc-validate``
+may be given; ``--dump-matrices`` combines with each of them.  Exit code 0
+on success, 1 when a requested validation fails, 2 on any configuration
+error.
 """
 
 from __future__ import annotations
@@ -114,6 +116,11 @@ def _mc_config(args: argparse.Namespace) -> SdeConfig:
 
 
 def _run(args: argparse.Namespace) -> int:
+    actions = [flag for flag, given in (("--sweep", args.sweep),
+                                        ("--find-critical-xi", args.find_critical_xi),
+                                        ("--mc-validate", args.mc_validate)) if given]
+    if len(actions) > 1:
+        raise ConfigError(f"{' and '.join(actions)} cannot be combined")
     if args.figure is not None:
         spec = figure_preset(args.figure)
         if args.sweep or args.curves:

@@ -9,7 +9,7 @@ Quadrature ordering (program-wide constant)::
 b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
 ``_drift`` and ``_noise`` are the one place this layout is written; the
-stability check and the solve decode W and R by rebuilding them.
+stability check decodes W, and the solve R, by rebuilding them.
 
 Convention: vacuum quadrature variance is 1/2.  The covariance matrix sigma
 of symmetric-ordered moments is physical iff every symplectic eigenvalue is
@@ -56,6 +56,7 @@ class StabilityReport:
     verdict: str        # "stable" | "marginal" | "unstable"
     max_real: float     # largest real part of the drift spectrum [rad/s]
     threshold: float    # scale-aware tolerance used for the verdict [rad/s]
+    rates: tuple | None # (gamma, kappa, G, lambda) if _drift rebuilds W from them
 
     @property
     def is_stable(self) -> bool:
@@ -125,34 +126,12 @@ def system_matrices(derived: DerivedParams) -> SystemMatrices:
     return SystemMatrices(drift=build_drift(derived), noise=build_noise(derived))
 
 
-def _decode(w: np.ndarray, r: np.ndarray | None = None) -> tuple[tuple | None, tuple | None]:
-    """(gamma, kappa, G, lambda) from ``w`` and (gamma', kappa', M kappa) from ``r``,
-    read where :func:`_drift` and :func:`_noise` write them; each is None
-    unless its builder rebuilds the matrix from it exactly."""
-    rates = weights = None
-    if w.shape == (_N, _N):
-        rates = (-2.0 * w.item(0, 0), -2.0 * w.item(4, 4), w.item(0, 4), w.item(7, 4))
-        rates = rates if (w == _drift(*rates)).all() else None
-    if r is not None and r.shape == (_N, _N):
-        weights = (r.item(0, 0), r.item(4, 4), r.item(4, 6))
-        weights = weights if (r == _noise(*weights)).all() else None
-    return rates, weights
-
-
 def _collective_drifts(gamma: float, kappa: float, coupling: float, lam: float) -> tuple:
     """Row-major 2x2 complex drifts M+- = [[-gamma/2, G], [-G, -kappa/2 +- i lambda]]
     over the modes (b, c) of the collective-mode sectors (mode1 +- mode2)/sqrt2."""
     m11, m22 = -gamma / 2.0, -kappa / 2.0
     return ((m11, coupling, -coupling, complex(m22, lam)),
             (m11, coupling, -coupling, complex(m22, -lam)))
-
-
-def _rate_scale(drift: np.ndarray) -> float:
-    # diagonal carries -gamma/2 and -kappa/2, so this recovers max(gamma, kappa)
-    scale = 2.0 * float(np.abs(drift.diagonal()).max())
-    if scale == 0.0:
-        scale = max(float(np.max(np.abs(drift))), 1.0)
-    return scale
 
 
 def _eigenvalues(m11: complex, m12: complex, m21: complex,
@@ -176,16 +155,25 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
 
     Stable iff max Re(eig) < -eps, marginal iff |max Re| <= eps, with the
     scale-aware tolerance eps = 1e-9 * max(gamma, kappa) (rates span several
-    decades, so an absolute tolerance would be meaningless).  A drift that
-    :func:`build_drift` writes (see :func:`_decode`) has the spectrum of the
-    two 2x2 sector drifts M+- of its rates and their complex conjugates;
-    any other matrix goes through ``np.linalg.eigvals``.
+    decades, so an absolute tolerance would be meaningless).  The report
+    keeps the rates read where :func:`_drift` writes them if it rebuilds the
+    drift from them exactly.  Such a drift has the spectrum of the two 2x2
+    sector drifts M+- of its rates and their complex conjugates; any other
+    matrix goes through ``np.linalg.eigvals``.
     """
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError(f"drift must be square, got shape {drift.shape}")
-    eps = 1e-9 * _rate_scale(drift)
-    rates = _decode(drift)[0]
+    # the diagonal carries -gamma/2 and -kappa/2, so this is max(gamma, kappa)
+    scale = 2.0 * float(np.abs(drift.diagonal()).max())
+    if scale == 0.0:
+        scale = max(float(np.max(np.abs(drift))), 1.0)
+    eps = 1e-9 * scale
+    rates = None
+    if drift.shape == (_N, _N):
+        rates = (-2.0 * drift.item(0, 0), -2.0 * drift.item(4, 4),
+                 drift.item(0, 4), drift.item(7, 4))
+        rates = rates if (drift == _drift(*rates)).all() else None
     parts = [] if rates is None else [
         lam.real for m in _collective_drifts(*rates) for lam in _eigenvalues(*m)
     ]
@@ -205,11 +193,12 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
         verdict = "marginal"
     else:
         verdict = "unstable"
-    return StabilityReport(verdict=verdict, max_real=max_real, threshold=eps)
+    return StabilityReport(verdict=verdict, max_real=max_real, threshold=eps, rates=rates)
 
 
-def _require_stable(drift: np.ndarray) -> None:
-    """Raise :class:`StabilityError` unless ``drift`` is strictly stable."""
+def _require_stable(drift: np.ndarray) -> StabilityReport:
+    """The stability report of ``drift``; raise :class:`StabilityError`
+    unless it is strictly stable."""
     report = check_stability(drift)
     if not report.is_stable:
         raise StabilityError(
@@ -217,6 +206,7 @@ def _require_stable(drift: np.ndarray) -> None:
             f"(max Re eig = {report.max_real:.6e} rad/s, "
             f"threshold {report.threshold:.1e} rad/s); no steady state"
         )
+    return report
 
 
 _MAX_ASYMMETRY = 1e-10
@@ -295,8 +285,8 @@ def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
 def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     """Solve W sigma + sigma W^T + R = 0 for the steady-state covariance.
 
-    The model's rates are read from W and R and accepted only if the
-    builders rebuild W and R from them exactly (see :func:`_decode`).  The
+    The rates come from the report of :func:`check_stability`, and R's
+    weights are accepted only if :func:`_noise` rebuilds R exactly.  The
     cavities are identical and the model phase covariant, so the collective
     modes (mode1 +- mode2)/sqrt2 decouple, each with drift M+- (see
     :func:`_collective_drifts`), normal noise diag(gamma', kappa') and
@@ -325,19 +315,19 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     r = np.asarray(matrices.noise, dtype=float)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
-    _require_stable(w)
-    scale = _rate_scale(w)
-    wn = w / scale
-    rn = r / scale
-    rates, weights = _decode(wn, rn)
-    if rates is None or weights is None:
+    rates = _require_stable(w).rates
+    weights = (r.item(0, 0), r.item(4, 4), r.item(4, 6))
+    if rates is None or not (r == _noise(*weights)).all():
         which = "drift" if rates is None else "noise"
         raise UnsupportedBranchError(
             f"{which} matrix is not exchange symmetric (cavity 1 <-> 2) or not of the "
             f"form build_{which} writes; the collective-mode sector solve does not apply"
         )
-    gamma_prime, kappa_prime, m_kappa = weights
-    plus, minus = _collective_drifts(*rates)
+    scale = max(abs(rates[0]), abs(rates[1]))  # > 0: W is stable, so gamma + kappa > 0
+    wn = w / scale
+    rn = r / scale
+    gamma_prime, kappa_prime, m_kappa = (x / scale for x in weights)
+    plus, minus = _collective_drifts(*(x / scale for x in rates))
     sectors = np.array(
         _sector_covariance(plus, gamma_prime, kappa_prime, m_kappa)
         + _sector_covariance(minus, gamma_prime, kappa_prime, -m_kappa)

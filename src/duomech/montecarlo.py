@@ -13,8 +13,8 @@ operators, the classical ensemble covariance of these trajectories equals
 the symmetric-ordered quantum covariance; that equivalence is what makes
 this module a valid independent check of the Lyapunov solution.
 
-The oracle accepts only a drift that ``build_drift`` writes: it reads the
-rates (gamma, kappa, G, lambda) back through ``dynamics._decode`` and
+The oracle accepts only a drift that ``build_drift`` writes: it takes the
+rates (gamma, kappa, G, lambda) from the stability check's report and
 refuses any other drift, and any with a gamma or kappa that is not finite
 and positive, as a ``ConfigError``.  Time runs in units of 1/kappa
 internally; configuration durations are expressed in those units.  The
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import CovarianceState, SystemMatrices, _decode, _require_stable
+from .dynamics import CovarianceState, SystemMatrices, _require_stable
 from .errors import ConfigError, PhysicalityError
 
 __all__ = [
@@ -160,9 +160,7 @@ def integrate_steady_covariance(matrices: SystemMatrices,
         config = SdeConfig()
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
-    _require_stable(w)
-
-    rates = _decode(w)[0]
+    rates = _require_stable(w).rates
     if rates is None or not all(math.isfinite(x) and x > 0.0 for x in rates[:2]):
         raise ConfigError(
             "the trajectory oracle integrates only a drift that build_drift "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import duomech
-from duomech import EXAMPLE_CONFIG, build_drift, derive, load_config, montecarlo
+from duomech import EXAMPLE_CONFIG, build_drift, cli, derive, load_config, montecarlo
 from duomech.cli import main
 from duomech.sweep import CSV_COLUMNS
 
@@ -96,6 +96,25 @@ def test_figure_conflicts_with_sweep(capsys):
     code = main(["--figure", "fig2", "--sweep", "r=0:1:2"])
     assert code == 2
     assert "cannot be combined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--sweep", "r=0:1:3"], ["--find-critical-xi", "0:1"]),
+    (["--sweep", "r=0:1:3"], ["--mc-validate"]),
+    (["--find-critical-xi", "0:1"], ["--mc-validate"]),
+])
+def test_two_actions_cannot_be_combined(tmp_path, config_file, capsys, monkeypatch,
+                                        first, second):
+    def no_work(*args, **kwargs):
+        pytest.fail("an action ran although two were requested")
+
+    for name in ("run_sweep", "find_critical_xi", "integrate_steady_covariance"):
+        monkeypatch.setattr(cli, name, no_work)
+    code = main(["--config", str(config_file), "--output", str(tmp_path / "out")]
+                + first + second)
+    assert code == 2
+    assert "cannot be combined" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config_file]
 
 
 def test_curves_requires_sweep(config_file, capsys):

@@ -104,10 +104,13 @@ class TestCheckStability:
         report = check_stability(build_drift(d))
         assert report.verdict == "stable"
         assert report.max_real == pytest.approx(-GAMMA / 2, rel=1e-9)
+        assert report.rates == (d.gamma, d.kappa, d.coupling, d.hopping_lambda)
 
     def test_driven_system_is_stable(self):
-        report = check_stability(build_drift(derive(reference_params())))
+        d = derive(reference_params())
+        report = check_stability(build_drift(d))
         assert report.is_stable
+        assert report.rates == (d.gamma, d.kappa, d.coupling, d.hopping_lambda)
 
     def test_no_dissipation_is_marginal(self):
         # pure beam-splitter rotation, no damping
@@ -124,11 +127,13 @@ class TestCheckStability:
     def test_fallback_for_other_matrices(self):
         # not 8x8, or 8x8 without the sector structure: 8x8 eigvals decides
         assert check_stability(np.eye(3)).max_real == 1.0
+        assert check_stability(np.eye(3)).rates is None
         drift = build_drift(derive(reference_params()))
         drift[0, 0] *= 1.5      # mirror 1 only
         report = check_stability(drift)
         assert report.max_real == float(np.linalg.eigvals(drift).real.max())
         assert report.is_stable
+        assert report.rates is None
 
     def test_sector_route_matches_eigvals_across_parameter_space(self):
         # log-uniform C, xi, gamma/kappa down to 1e-5, strong coupling included
@@ -277,6 +282,7 @@ class TestSolveLyapunov:
         report = check_stability(drift)
         assert report.max_real == float(np.linalg.eigvals(drift).real.max())
         assert report.is_stable
+        assert report.rates is None
         with pytest.raises(UnsupportedBranchError, match="drift matrix"):
             solve_lyapunov(SystemMatrices(drift=drift, noise=matrices.noise))
 

@@ -21,7 +21,7 @@ from duomech import (
     system_matrices,
     write_comparison_csv,
 )
-from duomech import montecarlo
+from duomech import dynamics, montecarlo
 
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 14000.0
@@ -193,7 +193,8 @@ class TestIntegration:
     @pytest.mark.parametrize("at,rate", [(4, "kappa"), (0, "gamma")])
     def test_damping_off_the_read_diagonal_is_a_config_error(self, at, rate):
         # strictly stable, but the damping of quadratures at, at + 1 sits off
-        # the diagonal entry the integrator reads its rate from
+        # the diagonal: not a drift build_drift writes, so the stability
+        # report carries no rates and the oracle refuses it
         drift = -0.5 * np.eye(8)
         drift[at:at + 2, at:at + 2] = [[0.0, 1.0], [-1.0, -1.0]]
         matrices = SystemMatrices(drift=drift, noise=np.eye(8))
@@ -215,6 +216,25 @@ class TestIntegration:
             integrate_steady_covariance(
                 SystemMatrices(drift=drift, noise=matrices.noise), config
             )
+
+    def test_one_drift_rebuild_per_solve_and_per_integration(self, monkeypatch):
+        # the stability check decodes W once; the solve and the oracle take
+        # the rates from its report
+        held = figure_preset("fig3").held
+        matrices = system_matrices(derive(held.with_updates(gamma=0.05 * held.kappa)))
+        calls = []
+        rebuild = dynamics._drift
+
+        def counted(*rates):
+            calls.append(rates)
+            return rebuild(*rates)
+
+        monkeypatch.setattr(dynamics, "_drift", counted)
+        solve_lyapunov(matrices)
+        assert len(calls) == 1
+        config = SdeConfig(burn_in=220, sample_duration=1, n_trajectories=2, seed=1)
+        integrate_steady_covariance(matrices, config)
+        assert len(calls) == 2
 
     def test_divergence_detector(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_DIVERGENCE_FACTOR", 1e-6)
