@@ -139,11 +139,13 @@ def _run(args: argparse.Namespace) -> int:
         elif args.curves:
             raise ConfigError("--curves requires --sweep")
 
-    if args.dump_matrices:
-        if not args.output:
-            raise ConfigError("--dump-matrices requires --output as a file stem")
+    if args.dump_matrices and not args.output:
+        raise ConfigError("--dump-matrices requires --output as a file stem")
+    if args.dump_matrices or args.mc_validate:
         matrices = system_matrices(derive(held))
         state = solve_lyapunov(matrices)
+
+    if args.dump_matrices:
         stem = Path(args.output)
         write_matrix(matrices.drift, stem.with_suffix(".drift.txt"))
         write_matrix(matrices.noise, stem.with_suffix(".noise.txt"))
@@ -159,8 +161,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.mc_validate:
-        matrices = system_matrices(derive(held))
-        state = solve_lyapunov(matrices)
         estimate = integrate_steady_covariance(matrices, _mc_config(args))
         comparison = compare_to_lyapunov(estimate, state)
         if args.output:

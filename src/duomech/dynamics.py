@@ -126,12 +126,11 @@ def system_matrices(derived: DerivedParams) -> SystemMatrices:
     return SystemMatrices(drift=build_drift(derived), noise=build_noise(derived))
 
 
-def _collective_drifts(gamma: float, kappa: float, coupling: float, lam: float) -> tuple:
-    """Row-major 2x2 complex drifts M+- = [[-gamma/2, G], [-G, -kappa/2 +- i lambda]]
-    over the modes (b, c) of the collective-mode sectors (mode1 +- mode2)/sqrt2."""
-    m11, m22 = -gamma / 2.0, -kappa / 2.0
-    return ((m11, coupling, -coupling, complex(m22, lam)),
-            (m11, coupling, -coupling, complex(m22, -lam)))
+def _collective_drift(gamma: float, kappa: float, coupling: float, lam: float) -> tuple:
+    """Row-major 2x2 complex drift M = [[-gamma/2, G], [-G, -kappa/2 + i lambda]]
+    over the modes (b, c) of the collective-mode sector (mode1 + mode2)/sqrt2.
+    The sector (mode1 - mode2)/sqrt2 has drift conj(M)."""
+    return (-gamma / 2.0, coupling, -coupling, complex(-kappa / 2.0, lam))
 
 
 def _eigenvalues(m11: complex, m12: complex, m21: complex,
@@ -157,9 +156,10 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
     scale-aware tolerance eps = 1e-9 * max(gamma, kappa) (rates span several
     decades, so an absolute tolerance would be meaningless).  The report
     keeps the rates read where :func:`_drift` writes them if it rebuilds the
-    drift from them exactly.  Such a drift has the spectrum of the two 2x2
-    sector drifts M+- of its rates and their complex conjugates; any other
-    matrix goes through ``np.linalg.eigvals``.
+    drift from them exactly.  Such a drift has the spectrum of the 2x2
+    sector drift M of its rates (see :func:`_collective_drift`), of conj(M)
+    and of their complex conjugates, so its max Re eig is that of M alone;
+    any other matrix goes through ``np.linalg.eigvals``.
     """
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
@@ -175,7 +175,7 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
                  drift.item(0, 4), drift.item(7, 4))
         rates = rates if (drift == _drift(*rates)).all() else None
     parts = [] if rates is None else [
-        lam.real for m in _collective_drifts(*rates) for lam in _eigenvalues(*m)
+        lam.real for lam in _eigenvalues(*_collective_drift(*rates))
     ]
     # max() would pass over a NaN, so a non-finite drift goes to eigvals,
     # which refuses it
@@ -224,13 +224,25 @@ _FROM_BLOCKS = (
     + _MODE_ORDER[None, :] % 4
 )
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
+# flat index into the row-major 4x4 (q_b, Y_b, q_c, Y_c) covariance of the
+# + sector of each entry of the - sector: P S+ P, where P swaps q and Y
+# within each mode.  The - sector has drift conj(M) and anomalous noise
+# -M kappa, so its moments are N- = conj(N+) and A- = -conj(A+), hence
+# u- = N- + A- = conj(v+) and v- = conj(u+), and each block
+# [[Re u, -Im u], [Im v, Re v]] of S- is the q <-> Y swap of that block of
+# S+.  IEEE rounding is symmetric and complex +, * and / commute exactly
+# with negation and conjugation, so this is bit for bit what
+# _sector_covariance returns for conj(M) and -M kappa, signed zeros included.
+_SWAP_QY = np.array([1, 0, 3, 2])
+_MINUS_FROM_PLUS = 4 * _SWAP_QY[:, None] + _SWAP_QY[None, :]
 
 
 def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
                        kappa_prime: float, squeezing: float) -> list[float]:
-    """Row-major 4x4 real covariance of one sector, in (q_b, Y_b, q_c, Y_c)
-    order, from its drift M, its normal noise R_N = diag(gamma', kappa') and
-    its anomalous noise R_A = diag(0, +-M kappa) (``squeezing``).
+    """Row-major 4x4 real covariance of the (mode1 + mode2)/sqrt2 sector, in
+    (q_b, Y_b, q_c, Y_c) order, from its drift M (see
+    :func:`_collective_drift`), its normal noise R_N = diag(gamma', kappa')
+    and its anomalous noise R_A = diag(0, M kappa) (``squeezing``).
 
     Since (alpha I + beta J) Z = Z (alpha I - beta J), the sector equation
     separates into M N + N M^dag = -R_N for the normal moments and
@@ -288,10 +300,12 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     The rates come from the report of :func:`check_stability`, and R's
     weights are accepted only if :func:`_noise` rebuilds R exactly.  The
     cavities are identical and the model phase covariant, so the collective
-    modes (mode1 +- mode2)/sqrt2 decouple, each with drift M+- (see
-    :func:`_collective_drifts`), normal noise diag(gamma', kappa') and
-    anomalous noise +-M kappa.  Each sector's 4x4 equation becomes two 2x2
-    equations with explicit solutions (see :func:`_sector_covariance`), and
+    modes (mode1 +- mode2)/sqrt2 decouple: the + sector has drift M (see
+    :func:`_collective_drift`), normal noise diag(gamma', kappa') and
+    anomalous noise M kappa, the - sector drift conj(M) and anomalous noise
+    -M kappa.  The + sector's 4x4 equation becomes two 2x2 equations with
+    explicit solutions (see :func:`_sector_covariance`); the - sector's
+    covariance S- is S+ with q and Y swapped within each mode, exactly.
     sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it.
     Matrices are normalized by the fastest rate before solving (sigma is
     dimensionless).  The asymmetry and residual gates act on the full 8x8
@@ -327,13 +341,11 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     wn = w / scale
     rn = r / scale
     gamma_prime, kappa_prime, m_kappa = (x / scale for x in weights)
-    plus, minus = _collective_drifts(*(x / scale for x in rates))
-    sectors = np.array(
-        _sector_covariance(plus, gamma_prime, kappa_prime, m_kappa)
-        + _sector_covariance(minus, gamma_prime, kappa_prime, -m_kappa)
-    ).reshape(2, 4, 4)
+    plus = np.array(_sector_covariance(_collective_drift(*(x / scale for x in rates)),
+                                       gamma_prime, kappa_prime, m_kappa))
+    minus = plus.take(_MINUS_FROM_PLUS)
     # (S+ + S-)/2 within one cavity's modes, (S+ - S-)/2 across the cavities
-    sigma = (0.5 * (sectors[0] + _PLUS_MINUS * sectors[1])).take(_FROM_BLOCKS)
+    sigma = (0.5 * (plus.reshape(4, 4) + _PLUS_MINUS * minus)).take(_FROM_BLOCKS)
 
     norm = float(np.abs(sigma).max())
     asym = float(np.abs(sigma - sigma.T).max())

@@ -37,6 +37,8 @@ __all__ = [
 VACUUM_VARIANCE = 0.5
 _PHYS_TOL = 1e-9     # slack on the nu >= 1/2 physicality bound
 _SNAP = 1e-12        # |measure| below this snaps to exactly 0
+_EPS = float(np.finfo(float).eps)
+_MAX_ROUNDING = 1e-7  # largest relative rounding of the spectrum, see below
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -67,8 +69,9 @@ class TwoModeCovariance:
     ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
     in :meth:`from_matrix`.  This is the one place a covariance is
     validated: a spectrum below the vacuum bound, overflowing block
-    determinants or det sigma <= 0 raise :class:`PhysicalityError` however
-    the object is built, and the measures do not repeat these gates.
+    determinants, det sigma <= 0 or a det sigma lost to rounding
+    (eps det_scale > 1e-7 sqrt(det sigma)) raise :class:`PhysicalityError`
+    however the object is built, and the measures do not repeat these gates.
     """
 
     matrix: np.ndarray
@@ -95,6 +98,16 @@ class TwoModeCovariance:
             )
         if self.det_full <= 0.0:
             raise PhysicalityError(f"non-positive covariance determinant {self.det_full!r}")
+        # det sigma = (theta+ theta-)^2 cancels down from terms of size
+        # det_scale^2, so rounding of the entries by eps moves the smallest
+        # symplectic eigenvalues by about eps det_scale / sqrt(det sigma)
+        # relative (X = a I, Z = diag(c, -c): eps a / (a - c))
+        if _EPS * self.det_scale > _MAX_ROUNDING * math.sqrt(self.det_full):
+            raise PhysicalityError(
+                f"covariance determinant lost to rounding: det sigma = "
+                f"{self.det_full!r} against block determinants of size "
+                f"{self.det_scale!r}"
+            )
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
@@ -136,8 +149,9 @@ def f_function(x: float) -> float:
     xm = x - VACUUM_VARIANCE
     if xm <= 0.0:
         return 0.0
-    xp = x + VACUUM_VARIANCE
-    return xp * math.log(xp) - xm * math.log(xm)
+    # = ln(x+1/2) + (x-1/2) ln(1 + 1/(x-1/2)): the two x ln x terms of the
+    # definition cancel down to a value of order ln x
+    return math.log(x + VACUUM_VARIANCE) + xm * math.log1p(1.0 / xm)
 
 
 def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
@@ -148,7 +162,7 @@ def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
     differences of terms of that size, so the discriminant inherits an
     absolute error of order eps * det_scale^2 even when it is exactly zero.
     """
-    return 4096.0 * np.finfo(float).eps * max(
+    return 4096.0 * _EPS * max(
         delta * delta, abs(4.0 * det_full), det_scale * det_scale, 1e-300
     )
 

@@ -190,19 +190,31 @@ def test_dump_matrices_needs_output(config_file, capsys):
     assert "requires --output" in capsys.readouterr().err
 
 
-def test_mc_validate(tmp_path, capsys):
+def test_mc_validate(tmp_path, capsys, monkeypatch):
     # fast-relaxing configuration so the ensemble converges in ~a second
     cfg = tmp_path / "fast.cfg"
     cfg.write_text(EXAMPLE_CONFIG.replace("gamma_hz          = 140",
                                           "gamma_hz = 700"))
+    solves = []
+    solve = cli.solve_lyapunov
+
+    def counted(matrices):
+        solves.append(matrices)
+        return solve(matrices)
+
+    monkeypatch.setattr(cli, "solve_lyapunov", counted)
     out = tmp_path / "val"
-    code = main(["--config", str(cfg), "--mc-validate", "--output", str(out),
+    code = main(["--config", str(cfg), "--mc-validate", "--dump-matrices",
+                 "--output", str(out),
                  "--mc-burn-in", "250", "--mc-duration", "1200",
                  "--mc-trajectories", "32", "--mc-seed", "11"])
     captured = capsys.readouterr().out
     assert code == 0, captured
     assert "mc-validate: PASS" in captured
     assert out.with_suffix(".mc.csv").exists()
+    assert out.with_suffix(".covariance.txt").exists()
+    # the dump and the validation share one solve of the held point
+    assert len(solves) == 1
 
 
 def test_mc_validate_too_coarse_dt_integrates_nothing(config_file, capsys,

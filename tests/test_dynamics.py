@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from duomech import dynamics
 from duomech import (
     PhysicalityError,
     PhysicalParams,
@@ -222,6 +223,19 @@ class TestSolveLyapunov:
         oracle = scipy.linalg.solve_continuous_lyapunov(wk, -rk)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(state.full - oracle)) < 1e-11 * scale
+
+    def test_one_sector_solve_and_one_spectrum_per_solve(self, monkeypatch):
+        # the (mode1 - mode2) sector is the (mode1 + mode2) one with q and Y
+        # swapped, and its drift conj(M) has the conjugate spectrum of M
+        calls = []
+        for name in ("_sector_covariance", "_eigenvalues"):
+            def counted(*args, name=name, original=getattr(dynamics, name)):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(dynamics, name, counted)
+        solve_lyapunov(system_matrices(derive(reference_params())))
+        assert sorted(calls) == ["_eigenvalues", "_sector_covariance"]
 
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))

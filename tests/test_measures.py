@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from duomech import measures
 from duomech import (
+    EXAMPLE_CONFIG,
     PhysicalityError,
     TwoModeCovariance,
     UnsupportedBranchError,
@@ -16,6 +18,7 @@ from duomech import (
     gaussian_discord,
     gaussian_steering,
     log_negativity,
+    parse_config,
     symplectic_eigenvalues,
     symplectic_spectrum,
     thermal_state,
@@ -41,6 +44,17 @@ class TestFFunction:
     def test_domain_error(self):
         with pytest.raises(PhysicalityError):
             f_function(0.4)
+
+    @pytest.mark.parametrize("x", [0.6, 3.0, 1e3, 1e8, 1e11, 1e15])
+    def test_no_cancellation_at_large_arguments(self, x):
+        # f grows like ln x, each term of its definition like x ln x;
+        # the reference is the definition in 50-digit decimal
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            xp = decimal.Decimal(x) + decimal.Decimal("0.5")
+            xm = decimal.Decimal(x) - decimal.Decimal("0.5")
+            exact = xp * xp.ln() - xm * xm.ln()
+        assert f_function(x) == pytest.approx(float(exact), rel=1e-14)
 
 
 class TestSymplecticSpectrum:
@@ -156,6 +170,7 @@ class TestTwoModeCovariance:
     @pytest.mark.parametrize("field, value, match", [
         ("det_full", 0.0, "non-positive covariance determinant"),
         ("det_full", math.inf, "overflow"),
+        ("det_full", 1e-20, "lost to rounding"),
         ("spectrum", np.array([0.3, 0.3]), "symplectic"),
     ])
     def test_gates_hold_however_the_object_is_built(self, field, value, match):
@@ -220,6 +235,26 @@ class TestPartialTransposePrecision:
         p = np.diag([1.0, 1.0, 1.0, -1.0])
         assert result.report.nu_minus == pytest.approx(
             symplectic_spectrum(p @ m @ p)[0], rel=1e-7)
+
+
+class TestLargeSqueezing:
+    # references: an 80-digit mpmath solve of W sigma + sigma W^T + R = 0
+    # for the same float W and R, with the measures evaluated at 80 digits
+
+    def test_discord_with_hopping(self):
+        # EXAMPLE_CONFIG's point (xi = 0.2) at r = 10: the mirror block's
+        # symplectic eigenvalues are near 1e8, where the definition of the
+        # entropy kernel cancels to 1e-8 relative
+        params = parse_config(EXAMPLE_CONFIG).with_updates(squeezing_r=10.0)
+        report = evaluate_point(params).report
+        assert report.discord == pytest.approx(2.70227398611e-08, rel=1e-6)
+
+    def test_determinant_lost_to_rounding_is_refused(self):
+        held = figure_preset("fig2").held   # xi = 0
+        with pytest.raises(PhysicalityError, match="lost to rounding"):
+            evaluate_point(held.with_updates(squeezing_r=20.0))
+        report = evaluate_point(held.with_updates(squeezing_r=8.0)).report
+        assert report.log_negativity == pytest.approx(1.72504029848, abs=1e-8)
 
 
 def _rotation(theta: float) -> np.ndarray:
