@@ -11,8 +11,8 @@ Examples::
 
 At most one of ``--sweep``, ``--find-critical-xi`` and ``--mc-validate``
 may be given; ``--dump-matrices`` combines with each of them.  Exit code 0
-on success, 1 when a requested validation fails, 2 on any configuration
-error.
+on success, 1 when a requested validation fails, 2 on any duomech error
+(every class in :mod:`duomech.errors`) or an unwritable output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,13 @@ from pathlib import Path
 
 from .config import load_config
 from .dynamics import solve_lyapunov, system_matrices, write_matrix
-from .errors import BracketError, ConfigError, PhysicalityError, StabilityError
+from .errors import (
+    BracketError,
+    ConfigError,
+    PhysicalityError,
+    StabilityError,
+    UnsupportedBranchError,
+)
 from .montecarlo import (
     SdeConfig,
     compare_to_lyapunov,
@@ -208,7 +214,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, BracketError, StabilityError, PhysicalityError, OSError) as exc:
+    except (ConfigError, BracketError, StabilityError, PhysicalityError,
+            UnsupportedBranchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,9 @@ Quadrature ordering (program-wide constant)::
 
 b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
-``_drift`` and ``_noise`` are the one place this layout is written; the
-stability check decodes W, and the solve R, by rebuilding them.
+``_drift`` and ``_noise``, through their slot tables, are the one place this
+layout is written; the stability check decodes W, and the solve R, by
+rebuilding them.
 
 Convention: vacuum quadrature variance is 1/2.  The covariance matrix sigma
 of symmetric-ordered moments is physical iff every symplectic eigenvalue is
@@ -76,28 +77,40 @@ class CovarianceState:
     residual: float
 
 
+# W = (0, -gamma/2, G, -G, -kappa/2, -lambda, lambda)[_DRIFT_SLOTS] and
+# R = (0, gamma', kappa', M kappa, -M kappa)[_NOISE_SLOTS]
+_DRIFT_SLOTS = np.array([
+    [1, 0, 0, 0, 2, 0, 0, 0],
+    [0, 1, 0, 0, 0, 2, 0, 0],
+    [0, 0, 1, 0, 0, 0, 2, 0],
+    [0, 0, 0, 1, 0, 0, 0, 2],
+    [3, 0, 0, 0, 4, 0, 0, 5],
+    [0, 3, 0, 0, 0, 4, 6, 0],
+    [0, 0, 3, 0, 0, 5, 4, 0],
+    [0, 0, 0, 3, 6, 0, 0, 4],
+])
+_NOISE_SLOTS = np.array([
+    [1, 0, 0, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 0, 1, 0, 0, 0, 0],
+    [0, 0, 0, 0, 2, 0, 3, 0],
+    [0, 0, 0, 0, 0, 2, 0, 4],
+    [0, 0, 0, 0, 3, 0, 2, 0],
+    [0, 0, 0, 0, 0, 4, 0, 2],
+])
+
+
 def _drift(gamma: float, kappa: float, coupling: float, lam: float) -> np.ndarray:
     """The one description of where each rate sits in the drift W."""
-    w = np.zeros((_N, _N))
-    for i in range(4):
-        w[i, i] = -gamma / 2.0
-        w[i, i + 4] = coupling
-        w[i + 4, i] = -coupling
-        w[i + 4, i + 4] = -kappa / 2.0
-    w[4, 7] = w[6, 5] = -lam
-    w[5, 6] = w[7, 4] = lam
-    return w
+    return np.array(
+        (0.0, -gamma / 2.0, coupling, -coupling, -kappa / 2.0, -lam, lam)
+    ).take(_DRIFT_SLOTS)
 
 
 def _noise(gamma_prime: float, kappa_prime: float, m_kappa: float) -> np.ndarray:
     """The one description of where each noise weight sits in R."""
-    r = np.zeros((_N, _N))
-    for i in range(4):
-        r[i, i] = gamma_prime
-        r[i + 4, i + 4] = kappa_prime
-    r[4, 6] = r[6, 4] = m_kappa
-    r[5, 7] = r[7, 5] = -m_kappa
-    return r
+    return np.array((0.0, gamma_prime, kappa_prime, m_kappa, -m_kappa)).take(_NOISE_SLOTS)
 
 
 def build_drift(derived: DerivedParams) -> np.ndarray:
@@ -164,16 +177,19 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
     drift = np.asarray(drift, dtype=float)
     if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
         raise ValueError(f"drift must be square, got shape {drift.shape}")
-    # the diagonal carries -gamma/2 and -kappa/2, so this is max(gamma, kappa)
-    scale = 2.0 * float(np.abs(drift.diagonal()).max())
-    if scale == 0.0:
-        scale = max(float(np.max(np.abs(drift))), 1.0)
-    eps = 1e-9 * scale
     rates = None
     if drift.shape == (_N, _N):
         rates = (-2.0 * drift.item(0, 0), -2.0 * drift.item(4, 4),
                  drift.item(0, 4), drift.item(7, 4))
         rates = rates if (drift == _drift(*rates)).all() else None
+    # the diagonal carries -gamma/2 and -kappa/2, so this is max(gamma, kappa)
+    if rates is None:
+        scale = 2.0 * float(abs(drift.diagonal()).max())
+    else:
+        scale = max(abs(rates[0]), abs(rates[1]))
+    if scale == 0.0:
+        scale = max(float(abs(drift).max()), 1.0)
+    eps = 1e-9 * scale
     parts = [] if rates is None else [
         lam.real for lam in _eigenvalues(*_collective_drift(*rates))
     ]
@@ -216,14 +232,6 @@ _MAX_RESIDUAL = 1e-10
 # The permutation is its own inverse: quadrature n sits at position
 # _MODE_ORDER[n].
 _MODE_ORDER = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-# inverse: flat index into the (2, 4, 4) stack [same-cavity block,
-# cross-cavity block] of each entry of an exchange-symmetric 8x8 matrix
-_FROM_BLOCKS = (
-    16 * (_MODE_ORDER[:, None] // 4 != _MODE_ORDER[None, :] // 4)
-    + 4 * (_MODE_ORDER[:, None] % 4)
-    + _MODE_ORDER[None, :] % 4
-)
-_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 # flat index into the row-major 4x4 (q_b, Y_b, q_c, Y_c) covariance of the
 # + sector of each entry of the - sector: P S+ P, where P swaps q and Y
 # within each mode.  The - sector has drift conj(M) and anomalous noise
@@ -235,6 +243,12 @@ _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 # _sector_covariance returns for conj(M) and -M kappa, signed zeros included.
 _SWAP_QY = np.array([1, 0, 3, 2])
 _MINUS_FROM_PLUS = 4 * _SWAP_QY[:, None] + _SWAP_QY[None, :]
+# sigma = ((S+)[_SIGMA_PLUS] + _SIGMA_SIGN (S+)[_SIGMA_MINUS]) / 2: for each
+# entry of sigma, the entry of S+ and of S- it is the half sum (within one
+# cavity's modes) or the half difference (across the cavities) of
+_SIGMA_PLUS = 4 * (_MODE_ORDER[:, None] % 4) + _MODE_ORDER[None, :] % 4
+_SIGMA_MINUS = _MINUS_FROM_PLUS.ravel()[_SIGMA_PLUS]
+_SIGMA_SIGN = np.where(_MODE_ORDER[:, None] // 4 == _MODE_ORDER[None, :] // 4, 1.0, -1.0)
 
 
 def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
@@ -340,24 +354,27 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     scale = max(abs(rates[0]), abs(rates[1]))  # > 0: W is stable, so gamma + kappa > 0
     wn = w / scale
     rn = r / scale
-    gamma_prime, kappa_prime, m_kappa = (x / scale for x in weights)
-    plus = np.array(_sector_covariance(_collective_drift(*(x / scale for x in rates)),
-                                       gamma_prime, kappa_prime, m_kappa))
-    minus = plus.take(_MINUS_FROM_PLUS)
-    # (S+ + S-)/2 within one cavity's modes, (S+ - S-)/2 across the cavities
-    sigma = (0.5 * (plus.reshape(4, 4) + _PLUS_MINUS * minus)).take(_FROM_BLOCKS)
+    gamma, kappa, coupling, lam = rates
+    gamma_prime, kappa_prime, m_kappa = weights
+    plus = np.array(_sector_covariance(
+        _collective_drift(gamma / scale, kappa / scale, coupling / scale, lam / scale),
+        gamma_prime / scale, kappa_prime / scale, m_kappa / scale,
+    ))
+    sigma = (plus.take(_SIGMA_PLUS) + _SIGMA_SIGN * plus.take(_SIGMA_MINUS)) * 0.5
 
-    norm = float(np.abs(sigma).max())
-    asym = float(np.abs(sigma - sigma.T).max())
+    norm = float(abs(sigma).max())
+    asym = float(abs(sigma - sigma.T).max())
     if norm > 0 and asym > _MAX_ASYMMETRY * norm:
         raise PhysicalityError(
             f"Lyapunov solution asymmetric beyond tolerance: {asym / norm:.3e} relative"
         )
     sigma = 0.5 * (sigma + sigma.T)
 
-    residual = float(
-        np.linalg.norm(wn @ sigma + sigma @ wn.T + rn) / np.linalg.norm(rn)
-    )
+    # sigma is exactly symmetric, so sigma Wn^T is (Wn sigma)^T; numpy
+    # divides, so a zero R gives a NaN residual, not a ZeroDivisionError
+    flux = wn @ sigma
+    excess = flux + flux.T + rn
+    residual = float(math.sqrt(np.vdot(excess, excess)) / np.sqrt(np.vdot(rn, rn)))
     if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
     return CovarianceState(

@@ -42,7 +42,16 @@ _MAX_ROUNDING = 1e-7  # largest relative rounding of the spectrum, see below
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_OMEGA_TWO_MODE = np.kron(np.eye(2), _J)   # symplectic form Omega of two modes
+_I_OMEGA_TWO_MODE = 1j * np.kron(np.eye(2), _J)   # i Omega of two modes
+
+
+def _spectrum(cov: np.ndarray, i_omega: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of ``cov``, ascending, as the moduli of the
+    eigenvalues of i Omega sigma; each appears twice in that spectrum, so
+    every other one of the sorted moduli is kept."""
+    moduli = abs(np.linalg.eigvals(i_omega @ cov))
+    moduli.sort()
+    return moduli[::2]
 
 
 def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
@@ -56,9 +65,9 @@ def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     n2 = cov.shape[0]
     if cov.ndim != 2 or cov.shape[1] != n2 or n2 % 2:
         raise ValueError(f"covariance must be square with even size, got {cov.shape}")
-    omega = _OMEGA_TWO_MODE if n2 == 4 else np.kron(np.eye(n2 // 2), _J)
-    ev = np.linalg.eigvals(1j * omega @ cov)
-    return np.sort(np.abs(ev))[::2]
+    if n2 == 4:
+        return _spectrum(cov, _I_OMEGA_TWO_MODE)
+    return _spectrum(cov, 1j * np.kron(np.eye(n2 // 2), _J))
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,7 @@ class TwoModeCovariance:
                 and math.isfinite(self.det_full)):
             raise PhysicalityError(
                 f"covariance too large: its block determinants overflow "
-                f"(max |entry| = {float(np.max(np.abs(self.matrix))):.3e})"
+                f"(max |entry| = {float(abs(self.matrix).max()):.3e})"
             )
         if self.det_full <= 0.0:
             raise PhysicalityError(f"non-positive covariance determinant {self.det_full!r}")
@@ -114,10 +123,10 @@ class TwoModeCovariance:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 covariance, got shape {m.shape}")
-        scale = float(np.max(np.abs(m)))
+        scale = float(abs(m).max())
         if scale == 0.0:
             raise PhysicalityError("zero covariance matrix is unphysical")
-        if np.max(np.abs(m - m.T)) > 1e-10 * scale:
+        if abs(m - m.T).max() > 1e-10 * scale:
             raise PhysicalityError("covariance matrix must be symmetric")
         m = 0.5 * (m + m.T)
         (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
@@ -126,7 +135,7 @@ class TwoModeCovariance:
         det_x = x11 * x22 - x12 * x21
         det_b = b11 * b22 - b12 * b21
         det_z = z11 * z22 - z12 * z21
-        return cls(matrix=m, spectrum=symplectic_spectrum(m),
+        return cls(matrix=m, spectrum=_spectrum(m, _I_OMEGA_TWO_MODE),
                    det_x=det_x, det_b=det_b, det_z=det_z,
                    det_full=float(np.linalg.det(m)),
                    det_scale=abs(det_x) + abs(det_b) + 2.0 * abs(det_z))
@@ -204,15 +213,15 @@ def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, 
     c = _as_cov(cov)
     theta_plus, theta_minus, band = _eigenvalue_pair(c.det_x + c.det_b + 2.0 * c.det_z, c)
 
-    ref = c.spectrum
+    ref_minus, ref_plus = c.spectrum.tolist()
     # Near spectral degeneracy neither route can resolve the split below the
     # discriminant roundoff band; widen the consistency tolerance accordingly.
     split_limit = math.sqrt(band) / (4.0 * max(theta_minus, 0.25))
     tol = 1e-9 * max(1.0, theta_plus) + split_limit
-    if abs(theta_minus - ref[0]) > tol or abs(theta_plus - ref[1]) > tol:
-        raise RuntimeError(
+    if abs(theta_minus - ref_minus) > tol or abs(theta_plus - ref_plus) > tol:
+        raise PhysicalityError(
             "symplectic eigenvalue formula disagrees with the i*Omega*sigma "
-            f"spectrum: ({theta_plus!r}, {theta_minus!r}) vs {tuple(ref)!r}"
+            f"spectrum: ({theta_plus!r}, {theta_minus!r}) vs ({ref_plus!r}, {ref_minus!r})"
         )
     return theta_plus, theta_minus
 

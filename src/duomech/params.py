@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .constants import HBAR, KB
 from .errors import ConfigError
@@ -126,7 +126,7 @@ class PhysicalParams:
 
     def with_updates(self, **changes) -> "PhysicalParams":
         """Copy with the given fields replaced (re-validated)."""
-        return replace(self, **changes)
+        return PhysicalParams(**{**self.__dict__, **changes})
 
 
 @dataclass(frozen=True)

@@ -134,35 +134,24 @@ class SweepRow:
 
 def _row_from_point(swept_value: float, curve_value: float | None,
                     params: PhysicalParams, result: PointResult | None) -> SweepRow:
-    """``result`` is None when the point failed."""
-    derived = None if result is None else result.derived
-    common = dict(
-        swept_value=swept_value,
-        curve_value=curve_value,
-        r=params.squeezing_r,
-        xi=None if derived is None else derived.xi,
-        temperature=params.temperature,
-        gamma=params.gamma,
-        kappa=params.kappa,
-        cooperativity=None if derived is None else derived.cooperativity,
-        n_th=None if derived is None else derived.n_th,
-        stable=result is not None and result.stable,
-    )
-    if result is None or result.report is None or result.state is None:
-        return SweepRow(sigma1=None, sigma12=None, sigma13=None, steering=None,
-                        log_negativity=None, discord=None, nu_minus=None, **common)
-    mech = result.state.mechanical_block
-    report = result.report
-    return SweepRow(
-        sigma1=float(mech[0, 0]),
-        sigma12=float(mech[0, 1]),
-        sigma13=float(mech[0, 2]),
-        steering=report.steering_ab,
-        log_negativity=report.log_negativity,
-        discord=report.discord,
-        nu_minus=report.nu_minus,
-        **common,
-    )
+    """``result`` is None when the point failed.  The rows are built
+    positionally, in SweepRow's field order (that of CSV_COLUMNS)."""
+    if result is None:
+        return SweepRow(swept_value, curve_value, params.squeezing_r, None,
+                        params.temperature, params.gamma, params.kappa, None, None,
+                        None, None, None, None, None, None, None, False)
+    derived, report = result.derived, result.report
+    if report is None or result.state is None:
+        return SweepRow(swept_value, curve_value, params.squeezing_r, derived.xi,
+                        params.temperature, params.gamma, params.kappa,
+                        derived.cooperativity, derived.n_th,
+                        None, None, None, None, None, None, None, result.stable)
+    sigma1, sigma12, sigma13 = result.state.mechanical_block[0, :3].tolist()
+    return SweepRow(swept_value, curve_value, params.squeezing_r, derived.xi,
+                    params.temperature, params.gamma, params.kappa,
+                    derived.cooperativity, derived.n_th, sigma1, sigma12, sigma13,
+                    report.steering_ab, report.log_negativity, report.discord,
+                    report.nu_minus, result.stable)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -298,14 +287,6 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float | bool | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return f"{value:.17g}"
-
-
 def emit_csv(rows, path_or_file, metadata: dict | None = None) -> None:
     """Write sweep rows as CSV: deterministic byte output for identical
     inputs (sorted '#' metadata lines, 17-significant-digit decimal text,
@@ -321,6 +302,14 @@ def _write_csv(rows, fh, metadata: dict | None) -> None:
     for key in sorted(metadata or {}):
         fh.write(f"# {key}={metadata[key]}\n")
     fh.write(",".join(CSV_COLUMNS) + "\n")
+    # one template per pattern of empty fields: "%.0s" writes nothing for None
+    templates: dict[tuple[bool, ...], str] = {}
     for row in rows:
-        # SweepRow declares its fields in CSV_COLUMNS order
-        fh.write(",".join(_fmt(v) for v in vars(row).values()) + "\n")
+        # SweepRow declares its fields in CSV_COLUMNS order, stable last
+        *numbers, stable = vars(row).values()
+        empty = tuple([v is None for v in numbers])
+        template = templates.get(empty)
+        if template is None:
+            template = templates[empty] = ",".join(
+                "%.0s" if e else "%.17g" for e in empty) + ",%s\n"
+        fh.write(template % (*numbers, "true" if stable else "false"))

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import duomech
-from duomech import EXAMPLE_CONFIG, build_drift, cli, derive, load_config, montecarlo
+from duomech import (
+    EXAMPLE_CONFIG,
+    build_drift,
+    cli,
+    derive,
+    errors,
+    load_config,
+    measures,
+    montecarlo,
+)
 from duomech.cli import main
 from duomech.sweep import CSV_COLUMNS
 
@@ -235,6 +244,32 @@ def test_pump_power_config_records_the_drive(tmp_path, capsys):
     code = main(["--config", str(cfg), "--sweep", "r=0:1:2"])
     assert code == 0
     assert "# drive_cooperativity=power_w=1e-05\n" in capsys.readouterr().out
+
+
+def test_unsupported_branch_in_find_critical_xi_exits_2(capsys, monkeypatch):
+    def off_branch(*args):
+        raise errors.UnsupportedBranchError("off the discord's branch")
+
+    monkeypatch.setattr(measures, "_discord", off_branch)
+    code = main(["--figure", "fig4", "--find-critical-xi", "0:1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: off the discord's branch\n"
+
+
+ERROR_CLASSES = [value for value in vars(errors).values()
+                 if isinstance(value, type) and issubclass(value, Exception)
+                 and value.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_duomech_error_exits_2(capsys, monkeypatch, error):
+    def failing(args):
+        raise error("some failure")
+
+    monkeypatch.setattr(cli, "_run", failing)
+    assert main(["--figure", "fig2"]) == 2
+    assert capsys.readouterr().err == "error: some failure\n"
 
 
 def test_module_entry_point_exit_code(tmp_path):

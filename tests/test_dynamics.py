@@ -237,6 +237,20 @@ class TestSolveLyapunov:
         solve_lyapunov(system_matrices(derive(reference_params())))
         assert sorted(calls) == ["_eigenvalues", "_sector_covariance"]
 
+    def test_residual_gate_bites(self, monkeypatch):
+        # a diagonal entry of the sector covariance keeps sigma symmetric, so
+        # only the residual gate can refuse it
+        original = dynamics._sector_covariance
+
+        def perturbed(*args):
+            entries = original(*args)
+            entries[0] *= 1.0 + 1e-8
+            return entries
+
+        monkeypatch.setattr(dynamics, "_sector_covariance", perturbed)
+        with pytest.raises(PhysicalityError, match="residual"):
+            solve_lyapunov(system_matrices(derive(reference_params())))
+
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
         with pytest.raises(StabilityError, match="unstable"):
@@ -267,6 +281,13 @@ class TestSolveLyapunov:
         matrices = system_matrices(derive(reference_params(squeezing_r=r_sq)))
         with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="residual"):
             solve_lyapunov(matrices)
+
+    def test_zero_noise_fails_the_residual_gate(self):
+        # sigma = 0 leaves the residual 0/0
+        matrices = system_matrices(derive(reference_params()))
+        zero_noise = SystemMatrices(drift=matrices.drift, noise=np.zeros((8, 8)))
+        with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="residual"):
+            solve_lyapunov(zero_noise)
 
     @pytest.mark.parametrize("which", ["drift", "noise"])
     def test_refuses_system_without_exchange_symmetry(self, which):

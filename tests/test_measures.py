@@ -9,6 +9,7 @@ from duomech import measures
 from duomech import (
     EXAMPLE_CONFIG,
     PhysicalityError,
+    SweepSpec,
     TwoModeCovariance,
     UnsupportedBranchError,
     correlation_report,
@@ -19,6 +20,7 @@ from duomech import (
     gaussian_steering,
     log_negativity,
     parse_config,
+    run_sweep,
     symplectic_eigenvalues,
     symplectic_spectrum,
     thermal_state,
@@ -91,6 +93,20 @@ class TestSymplecticEigenvalues:
             ref = symplectic_spectrum(cov)
             assert abs(tm - ref[0]) < 1e-9
             assert abs(tp - ref[1]) < 1e-9
+
+
+    def test_disagreement_is_a_physicality_error(self, monkeypatch):
+        # a spectrum that the block-determinant formula does not reproduce
+        original = measures._spectrum
+        monkeypatch.setattr(measures, "_spectrum",
+                            lambda cov, i_omega: original(cov, i_omega) * (1.0 + 1e-4))
+        cov = TwoModeCovariance.from_matrix(thermal_state(2.0))
+        with pytest.raises(PhysicalityError, match="disagrees"):
+            symplectic_eigenvalues(cov)
+        held = figure_preset("fig2").held
+        rows = run_sweep(SweepSpec("r", 0.5, 1.0, 2, held))
+        assert [row.stable for row in rows] == [False, False]
+        assert all(row.log_negativity is None and row.xi is None for row in rows)
 
 
 class TestSteering:

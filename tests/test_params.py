@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -159,3 +160,32 @@ class TestValidation:
     def test_detuning_defaults_to_red_sideband(self):
         assert reference_params().detuning_effective == -OMEGA_M
         assert reference_params(detuning=-1.0).detuning_effective == -1.0
+
+
+class TestWithUpdates:
+    def test_equals_dataclasses_replace(self):
+        base = reference_params()
+        changes = dict(temperature=2e-4, squeezing_r=0.5, gamma=TWO_PI * 70.0)
+        updated = base.with_updates(**changes)
+        expected = dataclasses.replace(base, **changes)
+        assert type(updated) is PhysicalParams
+        for field in dataclasses.fields(PhysicalParams):
+            assert getattr(updated, field.name) == getattr(expected, field.name), field.name
+        assert base.temperature == 1e-4     # the original is left as it was
+
+    def test_switches_the_drive_kind(self):
+        updated = reference_params().with_updates(cooperativity=None, pump_power=1e-5)
+        assert (updated.cooperativity, updated.pump_power) == (None, 1e-5)
+
+    def test_revalidates(self):
+        with pytest.raises(ConfigError, match="temperature"):
+            reference_params().with_updates(temperature=-1e-9)
+
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            reference_params().with_updates(temprature=1e-3)
+
+    def test_warns_outside_rwa_regime(self):
+        base = reference_params(hopping_lambda=0.0)
+        with pytest.warns(UserWarning, match="rotating-wave"):
+            base.with_updates(kappa=OMEGA_M / 2.0)

@@ -1,6 +1,7 @@
 """Property tests of the pipeline over the physical parameter space: every
 sampled point solves to a physical, exchange-symmetric mirror state whose
-measures obey their ordering and whose variance matches the closed form."""
+residual is the one its definition gives, whose measures obey their ordering
+and whose variance matches the closed form."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duomech import (
+    build_drift,
+    build_noise,
     closed_sigma_corrected,
     evaluate_point,
     figure_preset,
@@ -42,6 +45,14 @@ def test_pipeline_invariants(cooperativity, xi, gamma_over_kappa, temperature, s
     state, report, derived = result.state, result.report, result.derived
 
     assert state.residual <= 1e-10
+    # the residual as ||Wn sigma + sigma Wn^T + Rn||_F / ||Rn||_F, Wn and Rn
+    # normalized by max(gamma, kappa) as in the solve
+    scale = max(derived.gamma, derived.kappa)
+    wn = build_drift(derived) / scale
+    rn = build_noise(derived) / scale
+    sigma = state.full
+    expected = np.linalg.norm(wn @ sigma + sigma @ wn.T + rn) / np.linalg.norm(rn)
+    assert abs(state.residual - expected) <= 1e-13
     assert symplectic_spectrum(state.full)[0] >= 0.5 - 1e-9
 
     mech = state.mechanical_block

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -202,6 +203,45 @@ class TestEmitCsv:
                      "log_negativity", "discord", "nu_minus"):
             assert by_name[name] == ""
         assert by_name["stable"] == "false"
+
+    def test_golden_bytes_of_every_row_kind(self):
+        # a stable row (with -0.0 and exponent-form values), an unstable row
+        # (measures empty) and a failed row (xi, C and n_th empty too, and no
+        # curve value); the expected text is the per-field formatter's output
+        rows = [
+            SweepRow(swept_value=0.0, curve_value=0.1, r=1.0, xi=0.1, temperature=1e-4,
+                     gamma=879.64594300514212, kappa=87964.594300514207,
+                     cooperativity=32.11, n_th=20.523, sigma1=1.8969207660395373,
+                     sigma12=-0.0, sigma13=1.497746351754473e-17, steering=0.0,
+                     log_negativity=0.5209203919250005, discord=2.5e-300,
+                     nu_minus=0.2969868038984328, stable=True),
+            SweepRow(swept_value=1e-6, curve_value=0.001, r=1.0, xi=0.2,
+                     temperature=1e-6, gamma=1.7e-7, kappa=87964.594300514207,
+                     cooperativity=32.11, n_th=0.0, sigma1=None, sigma12=None,
+                     sigma13=None, steering=None, log_negativity=None, discord=None,
+                     nu_minus=None, stable=False),
+            SweepRow(swept_value=400.0, curve_value=None, r=400.0, xi=None,
+                     temperature=1e-4, gamma=879.64594300514212,
+                     kappa=87964.594300514207, cooperativity=None, n_th=None,
+                     sigma1=None, sigma12=None, sigma13=None, steering=None,
+                     log_negativity=None, discord=None, nu_minus=None, stable=False),
+        ]
+        out = io.StringIO()
+        emit_csv(rows, out, metadata={"preset": "golden", "points": 3})
+        assert out.getvalue() == (
+            "# points=3\n"
+            "# preset=golden\n"
+            "swept_variable,curve_variable,r,xi,T_K,gamma_rads,kappa_rads,C,n_th,"
+            "sigma1,sigma12,sigma13,steering,log_negativity,discord,nu_minus,stable\n"
+            "0,0.10000000000000001,1,0.10000000000000001,0.0001,879.64594300514216,"
+            "87964.594300514203,32.109999999999999,20.523,1.8969207660395373,-0,"
+            "1.4977463517544729e-17,0,0.5209203919250005,2.5e-300,0.29698680389843279,"
+            "true\n"
+            "9.9999999999999995e-07,0.001,1,0.20000000000000001,9.9999999999999995e-07,"
+            "1.6999999999999999e-07,87964.594300514203,32.109999999999999,0,,,,,,,,"
+            "false\n"
+            "400,,400,,0.0001,879.64594300514216,87964.594300514203,,,,,,,,,,false\n"
+        )
 
     def test_metadata_lines_sorted(self, tmp_path):
         path = tmp_path / "meta.csv"
