@@ -251,6 +251,24 @@ _SIGMA_MINUS = _MINUS_FROM_PLUS.ravel()[_SIGMA_PLUS]
 _SIGMA_SIGN = np.where(_MODE_ORDER[:, None] // 4 == _MODE_ORDER[None, :] // 4, 1.0, -1.0)
 
 
+def _sigma_map() -> np.ndarray:
+    """The 128x16 map from the row-major S+ to sigma (rows 0-63, row major)
+    and to sigma - sigma^T (rows 64-127).  A sigma row holds +1/2 and
+    +-1/2 in two distinct columns (the q <-> Y swap has no fixed entry), so
+    its product with S+ rounds 1/2 a +- 1/2 b once, in any summation order
+    and with or without FMA: (a +- b) / 2 bit for bit, but for the sign of
+    a zero and for subnormals.  A non-finite entry of S+ makes all of sigma
+    NaN (0 * inf), which the residual gate refuses."""
+    half = np.zeros((_N, _N, 16))
+    rows, cols = np.indices((_N, _N))
+    half[rows, cols, _SIGMA_PLUS] = 0.5
+    half[rows, cols, _SIGMA_MINUS] = 0.5 * _SIGMA_SIGN
+    return np.concatenate([half, half - half.transpose(1, 0, 2)]).reshape(2 * _N * _N, 16)
+
+
+_SIGMA_MAP = _sigma_map()
+
+
 def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
                        kappa_prime: float, squeezing: float) -> list[float]:
     """Row-major 4x4 real covariance of the (mode1 + mode2)/sqrt2 sector, in
@@ -320,10 +338,12 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     -M kappa.  The + sector's 4x4 equation becomes two 2x2 equations with
     explicit solutions (see :func:`_sector_covariance`); the - sector's
     covariance S- is S+ with q and Y swapped within each mode, exactly.
-    sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it.
-    Matrices are normalized by the fastest rate before solving (sigma is
-    dimensionless).  The asymmetry and residual gates act on the full 8x8
-    solution.
+    sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it:
+    one product of S+ with the fixed map ``_SIGMA_MAP`` gives sigma, bit for
+    bit, and sigma - sigma^T for the asymmetry gate.  The sector solve takes
+    the rates and weights over the fastest rate (sigma is dimensionless).
+    The residual gate checks ||W sigma + sigma W^T + R||_F / ||R||_F on W
+    and R as given, after sigma is symmetrized.
 
     Raises
     ------
@@ -352,29 +372,31 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
             f"form build_{which} writes; the collective-mode sector solve does not apply"
         )
     scale = max(abs(rates[0]), abs(rates[1]))  # > 0: W is stable, so gamma + kappa > 0
-    wn = w / scale
-    rn = r / scale
     gamma, kappa, coupling, lam = rates
-    gamma_prime, kappa_prime, m_kappa = weights
-    plus = np.array(_sector_covariance(
-        _collective_drift(gamma / scale, kappa / scale, coupling / scale, lam / scale),
-        gamma_prime / scale, kappa_prime / scale, m_kappa / scale,
-    ))
-    sigma = (plus.take(_SIGMA_PLUS) + _SIGMA_SIGN * plus.take(_SIGMA_MINUS)) * 0.5
+    noise = (weights[0] / scale, weights[1] / scale, weights[2] / scale)
+    # sigma, row major, then sigma - sigma^T
+    both = np.dot(_SIGMA_MAP, np.array(_sector_covariance(
+        _collective_drift(gamma / scale, kappa / scale, coupling / scale, lam / scale), *noise
+    )))
+    sigma = both[:_N * _N].reshape(_N, _N)
 
-    norm = float(abs(sigma).max())
-    asym = float(abs(sigma - sigma.T).max())
+    norm, asym = abs(both).reshape(2, _N * _N).max(axis=1).tolist()
     if norm > 0 and asym > _MAX_ASYMMETRY * norm:
         raise PhysicalityError(
             f"Lyapunov solution asymmetric beyond tolerance: {asym / norm:.3e} relative"
         )
     sigma = 0.5 * (sigma + sigma.T)
 
-    # sigma is exactly symmetric, so sigma Wn^T is (Wn sigma)^T; numpy
-    # divides, so a zero R gives a NaN residual, not a ZeroDivisionError
-    flux = wn @ sigma
-    excess = flux + flux.T + rn
-    residual = float(math.sqrt(np.vdot(excess, excess)) / np.sqrt(np.vdot(rn, rn)))
+    # sigma is exactly symmetric, so sigma W^T is (W sigma)^T.  Both norms
+    # are taken over the fastest rate, as the sector solve's inputs are, so
+    # their squares stay in range whatever the rates' scale.  R holds each of
+    # its three weights at four entries.  A zero R (sigma = 0) leaves 0/0,
+    # which fails the gate as NaN
+    flux = w @ sigma
+    excess = flux + flux.T + r
+    excess /= scale
+    noise_norm = 2.0 * math.hypot(*noise)
+    residual = math.sqrt(np.vdot(excess, excess)) / noise_norm if noise_norm else math.nan
     if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
     return CovarianceState(

@@ -120,22 +120,39 @@ class TwoModeCovariance:
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
-        m = np.asarray(matrix, dtype=float)
+        # a copy: the cached determinants must keep describing ``matrix``
+        m = np.array(matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 covariance, got shape {m.shape}")
-        scale = float(abs(m).max())
-        if scale == 0.0:
-            raise PhysicalityError("zero covariance matrix is unphysical")
-        if abs(m - m.T).max() > 1e-10 * scale:
-            raise PhysicalityError("covariance matrix must be symmetric")
-        m = 0.5 * (m + m.T)
-        (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
+        (x11, x12, z11, z12), (x21, x22, z21, z22), (y11, y12, b11, b12), (y21, y22, b21, b22) = (
             m.tolist()
         )
+        # exactly symmetric input (every block the solve hands over) needs
+        # neither the tolerance gate nor the symmetrization, which would
+        # return it unchanged; a zero first variance (the zero matrix among
+        # others) takes the full path, which refuses the zero matrix
+        if not x11 or (x12, z11, z12, z21, z22, b12) != (x21, y11, y21, y12, y22, b21):
+            scale = float(abs(m).max())
+            if scale == 0.0:
+                raise PhysicalityError("zero covariance matrix is unphysical")
+            if abs(m - m.T).max() > 1e-10 * scale:
+                raise PhysicalityError("covariance matrix must be symmetric")
+            m = 0.5 * (m + m.T)
+            (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
+                m.tolist()
+            )
         det_x = x11 * x22 - x12 * x21
         det_b = b11 * b22 - b12 * b21
         det_z = z11 * z22 - z12 * z21
-        return cls(matrix=m, spectrum=_spectrum(m, _I_OMEGA_TWO_MODE),
+        # eigvals refuses a NaN or an infinite entry; the symmetrization
+        # overflows entries above about 9e307
+        try:
+            spectrum = _spectrum(m, _I_OMEGA_TWO_MODE)
+        except np.linalg.LinAlgError as exc:
+            raise PhysicalityError(
+                f"covariance matrix has a NaN or overflowing entry: {exc}"
+            ) from exc
+        return cls(matrix=m, spectrum=spectrum,
                    det_x=det_x, det_b=det_b, det_z=det_z,
                    det_full=float(np.linalg.det(m)),
                    det_scale=abs(det_x) + abs(det_b) + 2.0 * abs(det_z))

@@ -251,6 +251,47 @@ class TestSolveLyapunov:
         with pytest.raises(PhysicalityError, match="residual"):
             solve_lyapunov(system_matrices(derive(reference_params())))
 
+    def test_asymmetry_gate_bites(self, monkeypatch):
+        # entry 1 is S+[q_b, Y_b]; entry 4, S+[Y_b, q_b], no longer mirrors it
+        original = dynamics._sector_covariance
+
+        def perturbed(*args):
+            entries = original(*args)
+            entries[1] *= 1.0 + 1e-8
+            return entries
+
+        monkeypatch.setattr(dynamics, "_sector_covariance", perturbed)
+        with pytest.raises(PhysicalityError, match="asymmetric"):
+            solve_lyapunov(system_matrices(derive(reference_params())))
+
+    def test_sigma_is_the_take_assembly_bit_for_bit(self, monkeypatch):
+        # the reference: each entry of sigma as the half sum or difference
+        # of the two entries of S+ it is taken out of, then symmetrized
+        sectors = []
+        original = dynamics._sector_covariance
+
+        def recorded(*args):
+            sectors.append(original(*args))
+            return sectors[-1]
+
+        monkeypatch.setattr(dynamics, "_sector_covariance", recorded)
+        rng = np.random.default_rng(20261020)
+        log_uniform = lambda lo, hi: 10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+        for _ in range(500):
+            params = reference_params(
+                cooperativity=log_uniform(1e-3, 1e5),
+                hopping_lambda=log_uniform(1e-4, 10.0) * KAPPA,
+                gamma=log_uniform(1e-5, 1.0) * KAPPA,
+                temperature=log_uniform(1e-6, 1e-1),
+                squeezing_r=rng.uniform(0.0, 3.0),
+            )
+            state = solve_lyapunov(system_matrices(derive(params)))
+            plus = np.array(sectors.pop())
+            sigma = (plus.take(dynamics._SIGMA_PLUS)
+                     + dynamics._SIGMA_SIGN * plus.take(dynamics._SIGMA_MINUS)) * 0.5
+            expected = 0.5 * (sigma + sigma.T)
+            assert state.full.tobytes() == expected.tobytes(), params
+
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
         with pytest.raises(StabilityError, match="unstable"):
@@ -281,6 +322,12 @@ class TestSolveLyapunov:
         matrices = system_matrices(derive(reference_params(squeezing_r=r_sq)))
         with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="residual"):
             solve_lyapunov(matrices)
+
+    def test_residual_is_measured_where_the_squared_noise_norm_overflows(self):
+        # at r = 185, ||R||^2 over the fastest rate is beyond 1e308 but the
+        # excess's is not, so the residual is a rounding-sized number, not 0
+        matrices = system_matrices(derive(reference_params(squeezing_r=185.0)))
+        assert 0.0 < solve_lyapunov(matrices).residual <= 1e-10
 
     def test_zero_noise_fails_the_residual_gate(self):
         # sigma = 0 leaves the residual 0/0

@@ -176,6 +176,25 @@ class TestTwoModeCovariance:
         with pytest.raises(PhysicalityError, match="symmetric"):
             TwoModeCovariance.from_matrix(m)
 
+    def test_rejects_zero_matrix(self):
+        with pytest.raises(PhysicalityError, match="zero covariance"):
+            TwoModeCovariance.from_matrix(np.zeros((4, 4)))
+
+    def test_symmetrizes_input_asymmetric_within_tolerance(self):
+        m = two_mode_squeezed_state(1.0)
+        m[0, 1] += 1e-11
+        cov = TwoModeCovariance.from_matrix(m)
+        assert np.array_equal(cov.matrix, 0.5 * (m + m.T))
+
+    @pytest.mark.parametrize("m", [
+        np.full((4, 4), np.nan),
+        1e308 * np.eye(4),                        # block determinants overflow
+        1e308 * np.eye(4) + np.eye(4, k=1),       # symmetrization overflows
+    ], ids=["nan", "huge", "huge-asymmetric"])
+    def test_nan_or_overflowing_input_is_a_physicality_error(self, m):
+        with np.errstate(all="ignore"), pytest.raises(PhysicalityError):
+            TwoModeCovariance.from_matrix(m)
+
     def test_rejects_non_positive_determinant(self, monkeypatch):
         # a matrix that passes the symplectic gate has det sigma >= 1/16, so
         # only a forced determinant reaches this gate
