@@ -396,7 +396,16 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     excess = flux + flux.T + r
     excess /= scale
     noise_norm = 2.0 * math.hypot(*noise)
-    residual = math.sqrt(np.vdot(excess, excess)) / noise_norm if noise_norm else math.nan
+    excess_sq = np.vdot(excess, excess)
+    if math.isfinite(excess_sq):
+        excess_norm = math.sqrt(excess_sq)
+    else:
+        # entries past about 1e154 overflow the square, not the norm: scale
+        # by the largest entry (an inf or NaN entry still gives NaN)
+        peak = float(abs(excess).max())
+        excess /= peak
+        excess_norm = peak * math.sqrt(np.vdot(excess, excess))
+    residual = excess_norm / noise_norm if noise_norm else math.nan
     if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
     return CovarianceState(

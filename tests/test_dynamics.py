@@ -10,6 +10,7 @@ from duomech import (
     PhysicalParams,
     StabilityError,
     SystemMatrices,
+    TwoModeCovariance,
     UnsupportedBranchError,
     build_drift,
     build_noise,
@@ -316,12 +317,23 @@ class TestSolveLyapunov:
             scale = np.max(np.abs(oracle))
             assert np.max(np.abs(state.full - oracle)) < 1e-11 * scale, params
 
-    @pytest.mark.parametrize("r_sq", [300.0, 352.0])
+    @pytest.mark.parametrize("r_sq", [352.0])
     def test_overflowing_noise_fails_the_residual_gate(self, r_sq):
-        # the residual (r = 300) or the whole solution (r = 352) is NaN
+        # the whole solution is NaN
         matrices = system_matrices(derive(reference_params(squeezing_r=r_sq)))
         with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="residual"):
             solve_lyapunov(matrices)
+
+    def test_residual_is_measured_where_the_squared_excess_overflows(self):
+        # at r = 300 sigma (entries near 1e260) is right to rounding, but the
+        # excess's squared norm overflows: the solve passes on the scaled norm,
+        # and the mirror block is refused by the gate that applies to it
+        matrices = system_matrices(derive(reference_params(squeezing_r=300.0)))
+        state = solve_lyapunov(matrices)
+        assert 0.0 < state.residual <= 1e-10
+        with np.errstate(all="ignore"), pytest.raises(PhysicalityError,
+                                                      match="covariance too large"):
+            TwoModeCovariance.from_matrix(state.mechanical_block)
 
     def test_residual_is_measured_where_the_squared_noise_norm_overflows(self):
         # at r = 185, ||R||^2 over the fastest rate is beyond 1e308 but the

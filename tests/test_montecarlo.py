@@ -171,6 +171,40 @@ class TestIntegration:
             assert np.max(np.abs(blocked.std_error - whole.std_error)) <= 1e-12 * scale
             assert blocked.n_samples == whole.n_samples
 
+    @pytest.mark.parametrize("block_steps", [1, 997, 256])
+    def test_block_scan_matches_a_step_by_step_loop(self, monkeypatch, block_steps):
+        # 1-step blocks leave one chunk of one step; 997 = 32 chunks of 31
+        # steps and 5 left over; 8001 burn-in steps are a multiple of neither
+        # 31 nor 16 (the chunk length of 256-step blocks)
+        matrices = system_matrices(derive(reference_params(gamma=0.3 * KAPPA)))
+        config = SdeConfig(burn_in=40.005, sample_duration=30.0,
+                           n_trajectories=4, seed=17)
+        n_burn = round(config.burn_in / config.dt)
+        n_sample = round(config.sample_duration / config.dt)
+        assert n_burn % 31 != 0 and n_burn % 16 != 0
+
+        # the Euler-Maruyama recursion written out, one draw per step
+        kappa = check_stability(matrices.drift).rates[1]
+        stepper = np.eye(8) + matrices.drift / kappa * config.dt
+        factor = montecarlo._noise_factor(matrices.noise / kappa) * math.sqrt(config.dt)
+        rng = np.random.Generator(np.random.PCG64(config.seed))
+        u = np.zeros((config.n_trajectories, 8))
+        acc = np.zeros((config.n_trajectories, 8, 8))
+        for k in range(n_burn + n_sample):
+            u = u @ stepper.T + rng.standard_normal(u.shape) @ factor.T
+            if k >= n_burn:
+                acc += u[:, :, None] * u[:, None, :]
+        per_traj = acc / n_sample
+        cov = per_traj.mean(axis=0)
+        std_error = per_traj.std(axis=0, ddof=1) / math.sqrt(config.n_trajectories)
+
+        monkeypatch.setattr(montecarlo, "_BUFFER_BYTES", block_steps * 8 * 4 * 8)
+        scanned = integrate_steady_covariance(matrices, config)
+        scale = np.max(np.abs(cov))
+        assert np.max(np.abs(scanned.cov_estimate - cov)) <= 1e-12 * scale
+        assert np.max(np.abs(scanned.std_error - std_error)) <= 1e-12 * scale
+        assert scanned.n_samples == config.n_trajectories * n_sample
+
     def test_working_set_does_not_grow_with_the_run(self):
         # 14 000 steps of 128 trajectories: two block buffers of about 2 MiB
         # each, where whole-run buffers would take 115 MB apiece
