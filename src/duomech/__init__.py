@@ -29,6 +29,7 @@ from .dynamics import (
 from .errors import (
     BracketError,
     ConfigError,
+    DuomechError,
     PhysicalityError,
     StabilityError,
     UnsupportedBranchError,
@@ -98,6 +99,6 @@ __all__ = [
     "SweepSpec", "SweepRow", "PointResult", "evaluate_point", "run_sweep",
     "figure_preset", "find_critical_xi", "CriticalHopping", "emit_csv",
     "CSV_COLUMNS",
-    "ConfigError", "StabilityError", "PhysicalityError",
+    "DuomechError", "ConfigError", "StabilityError", "PhysicalityError",
     "UnsupportedBranchError", "BracketError",
 ]

@@ -11,8 +11,10 @@ Examples::
 
 At most one of ``--sweep``, ``--find-critical-xi`` and ``--mc-validate``
 may be given; ``--dump-matrices`` combines with each of them.  Exit code 0
-on success, 1 when a requested validation fails, 2 on any duomech error
-(every class in :mod:`duomech.errors`) or an unwritable output.
+on success, 1 when a requested validation fails, 2 on any
+:class:`~duomech.errors.DuomechError` or an unwritable output.  The
+``--mc-*`` settings need ``--mc-validate``, and ``--find-critical-xi`` takes
+``--output`` only as the stem of ``--dump-matrices``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from pathlib import Path
 
 from .config import load_config
 from .dynamics import solve_lyapunov, system_matrices, write_matrix
-from .errors import (
-    BracketError,
-    ConfigError,
-    PhysicalityError,
-    StabilityError,
-    UnsupportedBranchError,
-)
+from .errors import ConfigError, DuomechError
 from .montecarlo import (
     SdeConfig,
     compare_to_lyapunov,
@@ -106,19 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mc_config(args: argparse.Namespace) -> SdeConfig:
-    overrides = {}
-    if args.mc_dt is not None:
-        overrides["dt"] = args.mc_dt
-    if args.mc_seed is not None:
-        overrides["seed"] = args.mc_seed
-    if args.mc_trajectories is not None:
-        overrides["n_trajectories"] = args.mc_trajectories
-    if args.mc_burn_in is not None:
-        overrides["burn_in"] = args.mc_burn_in
-    if args.mc_duration is not None:
-        overrides["sample_duration"] = args.mc_duration
-    return SdeConfig(**overrides)
+# --mc-* option -> the SdeConfig field it sets
+_MC_SETTINGS = {"mc_dt": "dt", "mc_seed": "seed", "mc_trajectories": "n_trajectories",
+                "mc_burn_in": "burn_in", "mc_duration": "sample_duration"}
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -127,6 +113,13 @@ def _run(args: argparse.Namespace) -> int:
                                         ("--mc-validate", args.mc_validate)) if given]
     if len(actions) > 1:
         raise ConfigError(f"{' and '.join(actions)} cannot be combined")
+    mc_given = [dest for dest in _MC_SETTINGS if getattr(args, dest) is not None]
+    if mc_given and not args.mc_validate:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in mc_given)
+        raise ConfigError(f"{flags} given without --mc-validate")
+    if args.find_critical_xi and args.output and not args.dump_matrices:
+        raise ConfigError("--find-critical-xi writes no file: --output is only "
+                          "the stem for --dump-matrices")
     if args.figure is not None:
         spec = figure_preset(args.figure)
         if args.sweep or args.curves:
@@ -167,7 +160,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.mc_validate:
-        estimate = integrate_steady_covariance(matrices, _mc_config(args))
+        config = SdeConfig(**{_MC_SETTINGS[dest]: getattr(args, dest) for dest in mc_given})
+        estimate = integrate_steady_covariance(matrices, config)
         comparison = compare_to_lyapunov(estimate, state)
         if args.output:
             path = Path(args.output).with_suffix(".mc.csv")
@@ -214,8 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConfigError, BracketError, StabilityError, PhysicalityError,
-            UnsupportedBranchError, OSError) as exc:
+    except (DuomechError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,9 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import EXAMPLE_CONFIG, parse_config
 from .dynamics import solve_lyapunov, system_matrices
 from .errors import ConfigError, StabilityError
-from .params import DerivedParams, _coupling_from_cooperativity, _derived_params, squeezed_moments
+from .params import (DerivedParams, _coupling_from_cooperativity, _derived_params,
+                     squeezed_moments, thermal_occupancy)
 
 __all__ = [
     "MechanicalCovarianceClosed",
@@ -44,8 +46,9 @@ __all__ = [
     "write_report_csv",
 ]
 
-_KAPPA_RADS = 2.0 * math.pi * 14000.0      # cavity linewidth of the report [rad/s]
-_GRID_N_TH = 1.7380208490312972           # n_th at omega_m = 2 pi x 947 kHz, T = 0.1 mK
+# the report's device is EXAMPLE_CONFIG's: its cavity linewidth, and the
+# thermal occupancy of its 0.1 mK bath
+_DEVICE = parse_config(EXAMPLE_CONFIG)
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,8 @@ def _derived_from_point(point: GridPoint, kappa: float) -> DerivedParams:
 
 def validate_closed_forms(grid) -> ClosedFormReport:
     """Compare the verbatim closed form against the Lyapunov solution on a
-    grid of :class:`GridPoint` at kappa = 2 pi x 14 kHz; unstable points are
-    skipped with notation.
+    grid of :class:`GridPoint` at the device's kappa = 2 pi x 14 kHz;
+    unstable points are skipped with notation.
 
     The summary also re-evaluates the verbatim variance formula with rates
     normalized to kappa = 1, which isolates the inconsistent linewidth power
@@ -188,7 +191,7 @@ def validate_closed_forms(grid) -> ClosedFormReport:
     dev_r0: list[float] = [0.0]
     dev_norm: list[float] = [0.0]
     for point in grid:
-        derived = _derived_from_point(point, _KAPPA_RADS)
+        derived = _derived_from_point(point, _DEVICE.kappa)
         try:
             mech = solve_lyapunov(system_matrices(derived)).mechanical_block
         except StabilityError:
@@ -196,7 +199,7 @@ def validate_closed_forms(grid) -> ClosedFormReport:
             continue
         s1_l, s12_l, s13_l = mech[0, 0], mech[0, 1], mech[0, 2]
         closed = closed_sigma(point.cooperativity, point.squeezing_r, point.xi,
-                              derived.gamma, _KAPPA_RADS, point.n_th)
+                              derived.gamma, _DEVICE.kappa, point.n_th)
         row = ClosedFormRow(
             point=point,
             sigma1_closed=closed.sigma1, sigma1_lyap=float(s1_l),
@@ -228,17 +231,18 @@ def validate_closed_forms(grid) -> ClosedFormReport:
 
 def default_validation_grid() -> list[GridPoint]:
     """Comparison grid: the undriven point, an r-scan without hopping, and an
-    r x xi scan at the standard drive strength, all at the thermal occupancy
-    of the 0.1 mK bath."""
-    n_th = _GRID_N_TH
+    r x xi scan at the device's drive strength (C = 32.11), all at the
+    thermal occupancy of its 0.1 mK bath."""
+    n_th = thermal_occupancy(_DEVICE.omega_m, _DEVICE.temperature)
+    c = _DEVICE.cooperativity
     grid = [GridPoint(0.0, 1.0, 0.2, 0.01, n_th)]
     for r in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]:
-        grid.append(GridPoint(32.11, r, 0.0, 0.01, n_th))
+        grid.append(GridPoint(c, r, 0.0, 0.01, n_th))
     for xi in [0.0, 0.1, 0.2, 0.3]:
         for r in [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]:
-            grid.append(GridPoint(32.11, r, xi, 0.01, n_th))
+            grid.append(GridPoint(c, r, xi, 0.01, n_th))
     for gok in [0.001, 0.005, 0.05]:
-        grid.append(GridPoint(32.11, 1.0, 0.2, gok, n_th))
+        grid.append(GridPoint(c, 1.0, 0.2, gok, n_th))
     return grid
 
 
@@ -253,7 +257,7 @@ _CSV_COLUMNS = (
 def write_report_csv(report: ClosedFormReport, path) -> None:
     """Write the discrepancy report; '#' metadata lines carry the summary."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# kappa_rads={_KAPPA_RADS:.17g}\n")
+        fh.write(f"# kappa_rads={_DEVICE.kappa:.17g}\n")
         fh.write(f"# skipped_unstable={len(report.skipped_unstable)}\n")
         fh.write(f"# max_rel_dev_1={report.max_rel_dev_1:.17g}\n")
         fh.write(f"# max_rel_dev_12={report.max_rel_dev_12:.17g}\n")

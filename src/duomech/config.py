@@ -11,8 +11,6 @@ Recognized keys::
     kappa_hz          | kappa_rads           cavity damping rate
     omega_c_hz        | omega_c_rads         cavity frequency
     omega_l_hz        | omega_l_rads         laser frequency
-    detuning_hz       | detuning_rads        effective detuning (optional;
-                                             defaults to -omega_m)
     hopping_lambda_hz | hopping_lambda_rads  photon hopping rate
     mass_kg                                  mirror mass
     cavity_length_m                          cavity length
@@ -20,6 +18,8 @@ Recognized keys::
     squeezing_r                              squeezing parameter
     pump_power_w                             drive power (exclusive with
     cooperativity                            cooperativity)
+
+There is no detuning key: the drive sits at the red sideband, -omega_m.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ _TWO_PI = 2.0 * math.pi
 
 # maps config key -> (PhysicalParams field, scale factor)
 _KEY_MAP: dict[str, tuple[str, float]] = {}
-for _field in ("omega_m", "gamma", "kappa", "omega_c", "omega_l", "detuning",
-               "hopping_lambda"):
+for _field in ("omega_m", "gamma", "kappa", "omega_c", "omega_l", "hopping_lambda"):
     _KEY_MAP[f"{_field}_hz"] = (_field, _TWO_PI)
     _KEY_MAP[f"{_field}_rads"] = (_field, 1.0)
 _KEY_MAP["mass_kg"] = ("mass", 1.0)
@@ -60,7 +59,6 @@ temperature_k     = 1e-4
 squeezing_r       = 1.0
 hopping_lambda_hz = 2800        # xi = lambda/kappa = 0.2
 cooperativity     = 32.11       # alternative: pump_power_w
-# detuning_rads omitted -> red sideband (-omega_m)
 """
 
 

@@ -388,24 +388,16 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     sigma = 0.5 * (sigma + sigma.T)
 
     # sigma is exactly symmetric, so sigma W^T is (W sigma)^T.  Both norms
-    # are taken over the fastest rate, as the sector solve's inputs are, so
-    # their squares stay in range whatever the rates' scale.  R holds each of
-    # its three weights at four entries.  A zero R (sigma = 0) leaves 0/0,
-    # which fails the gate as NaN
+    # are taken over the fastest rate, as the sector solve's inputs are, and
+    # by hypot, which does not overflow where the squares would (entries past
+    # about 1e154).  R holds each of its three weights at four entries.  A
+    # zero R (sigma = 0) leaves 0/0, which fails the gate as NaN
     flux = w @ sigma
     excess = flux + flux.T + r
     excess /= scale
     noise_norm = 2.0 * math.hypot(*noise)
-    excess_sq = np.vdot(excess, excess)
-    if math.isfinite(excess_sq):
-        excess_norm = math.sqrt(excess_sq)
-    else:
-        # entries past about 1e154 overflow the square, not the norm: scale
-        # by the largest entry (an inf or NaN entry still gives NaN)
-        peak = float(abs(excess).max())
-        excess /= peak
-        excess_norm = peak * math.sqrt(np.vdot(excess, excess))
-    residual = excess_norm / noise_norm if noise_norm else math.nan
+    residual = (math.hypot(*excess.ravel().tolist()) / noise_norm
+                if noise_norm else math.nan)
     if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
     return CovarianceState(

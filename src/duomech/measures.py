@@ -78,9 +78,10 @@ class TwoModeCovariance:
     ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
     in :meth:`from_matrix`.  This is the one place a covariance is
     validated: a spectrum below the vacuum bound, overflowing block
-    determinants, det sigma <= 0 or a det sigma lost to rounding
-    (eps det_scale > 1e-7 sqrt(det sigma)) raise :class:`PhysicalityError`
-    however the object is built, and the measures do not repeat these gates.
+    determinants, det sigma <= 0, a det sigma lost to rounding
+    (eps det_scale > 1e-7 sqrt(det sigma)) or a matrix that is not positive
+    definite raise :class:`PhysicalityError` however the object is built,
+    and the measures do not repeat these gates.
     """
 
     matrix: np.ndarray
@@ -116,6 +117,16 @@ class TwoModeCovariance:
                 f"covariance determinant lost to rounding: det sigma = "
                 f"{self.det_full!r} against block determinants of size "
                 f"{self.det_scale!r}"
+            )
+        # the spectrum and det sigma are those of -sigma too: with det sigma > 0
+        # above, positive leading minors of orders 1-3 make sigma positive
+        # definite (Sylvester's criterion)
+        (x11, x12, z11, _), (_, x22, z21, _), (_, _, b11, _), _ = self.matrix.tolist()
+        minor3 = self.det_x * b11 - x22 * z11 * z11 + 2.0 * x12 * z11 * z21 - x11 * z21 * z21
+        if not (x11 > 0.0 and self.det_x > 0.0 and minor3 > 0.0):
+            raise PhysicalityError(
+                f"covariance not positive definite: leading minors "
+                f"{x11!r}, {self.det_x!r}, {minor3!r}"
             )
 
     @classmethod

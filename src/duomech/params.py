@@ -63,10 +63,10 @@ class PhysicalParams:
     cooperativity : float, optional
         Dimensionless optomechanical cooperativity; alternative drive
         specification when the pump power is not known.
-    detuning : float, optional
-        Effective cavity detuning [rad/s].  Defaults to ``-omega_m``
-        (red-sideband drive), which is the regime the linearized
-        rotating-wave model assumes.
+
+    The drive is fixed at the red sideband: the effective detuning is
+    ``-omega_m``, the regime the linearized rotating-wave model assumes, so
+    it is a model constant and not a parameter.
     """
 
     omega_m: float
@@ -81,7 +81,6 @@ class PhysicalParams:
     hopping_lambda: float
     pump_power: float | None = None
     cooperativity: float | None = None
-    detuning: float | None = None
 
     def __post_init__(self) -> None:
         positive = {
@@ -118,11 +117,6 @@ class PhysicalParams:
                 f"omega_m/gamma={self.omega_m / self.gamma:.3g})",
                 stacklevel=3,
             )
-
-    @property
-    def detuning_effective(self) -> float:
-        """Effective detuning [rad/s]; red sideband ``-omega_m`` by default."""
-        return -self.omega_m if self.detuning is None else self.detuning
 
     def with_updates(self, **changes) -> "PhysicalParams":
         """Copy with the given fields replaced (re-validated)."""
@@ -185,7 +179,7 @@ def squeezed_moments(squeezing_r: float) -> tuple[float, float]:
 
 
 def _drive_denominator(params: PhysicalParams) -> float:
-    d = params.detuning_effective + params.hopping_lambda
+    d = -params.omega_m + params.hopping_lambda
     return d * d + params.kappa**2 / 4.0
 
 
@@ -197,10 +191,10 @@ def _coupling_from_cooperativity(cooperativity: float, gamma: float, kappa: floa
 def effective_coupling(params: PhysicalParams) -> float:
     """Many-photon optomechanical coupling G [rad/s].
 
-    From a pump power:
+    From a pump power, at the red-sideband detuning -omega_m:
 
         G = (omega_c / L) sqrt( 2 kappa P /
-            (m omega_m omega_l [(Delta' + lambda)^2 + kappa^2/4]) )
+            (m omega_m omega_l [(lambda - omega_m)^2 + kappa^2/4]) )
 
     From a cooperativity, the definition C = 4 G^2 / (gamma kappa) is
     inverted instead.

@@ -4,12 +4,12 @@ a bisection finder for the hopping strength at which entanglement dies."""
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
+from .config import EXAMPLE_CONFIG, parse_config
 from .dynamics import CovarianceState, solve_lyapunov, system_matrices
-from .errors import BracketError, ConfigError, StabilityError
+from .errors import BracketError, ConfigError, DuomechError, StabilityError
 from .measures import CorrelationReport, TwoModeCovariance, correlation_report
 from .params import DerivedParams, PhysicalParams, derive
 
@@ -28,8 +28,6 @@ __all__ = [
 ]
 
 SWEEP_VARIABLES = ("r", "xi", "T", "gamma_over_kappa")
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,10 @@ def _row_from_point(swept_value: float, curve_value: float | None,
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid in deterministic order (outer: curve values,
-    inner: swept grid ascending).  Per-point failures are reported on stderr
-    and yield a row with empty derived and measure fields; they never abort
-    the sweep."""
+    inner: swept grid ascending).  A point that raises a
+    :class:`~duomech.errors.DuomechError` is reported on stderr and yields a
+    row with empty derived and measure fields; it never aborts the sweep.
+    Any other exception is a defect and propagates."""
     curves: list[float | None] = (
         list(spec.curve_values) if spec.curve_variable else [None]
     )
@@ -171,7 +170,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             point_params = _apply(base, spec.variable, value)
             try:
                 result = evaluate_point(point_params)
-            except Exception as exc:  # per-point failure: flag, keep sweeping
+            except DuomechError as exc:  # per-point failure: flag, keep sweeping
                 print(
                     f"warning: point {spec.variable}={value:g}"
                     + (f", {spec.curve_variable}={curve_value:g}" if curve_value is not None else "")
@@ -183,18 +182,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-_PRESET_BASE = dict(
-    omega_m=TWO_PI * 947e3,
-    gamma=TWO_PI * 140.0,
-    mass=145e-12,
-    cavity_length=25e-3,
-    omega_c=TWO_PI * 5.26e14,
-    omega_l=TWO_PI * 2.82e14,
-    kappa=TWO_PI * 14000.0,
-    cooperativity=32.11,
-)
-
-
 def figure_preset(name: str) -> SweepSpec:
     """Fully populated sweep specs for the three survey figures.
 
@@ -203,24 +190,21 @@ def figure_preset(name: str) -> SweepSpec:
           (kappa stays fixed, gamma varies, drive strength held at C = 32.11)
     fig4: hopping sweep xi in [0, 1], curves over bath temperature
 
-    All presets drive at C = 32.11; grids use 301 points.
+    Every held point is the device of :data:`~duomech.config.EXAMPLE_CONFIG`
+    (C = 32.11, T = 0.1 mK): fig3 holds it as parsed, fig2 with r = 0 and
+    xi = 0, fig4 with xi = 0.  Grids use 301 points.
     """
-    kappa = _PRESET_BASE["kappa"]
+    device = parse_config(EXAMPLE_CONFIG)
     if name == "fig2":
-        held = PhysicalParams(temperature=1e-4, squeezing_r=0.0,
-                              hopping_lambda=0.0, **_PRESET_BASE)
-        return SweepSpec("r", 0.0, 3.0, 301, held,
+        return SweepSpec("r", 0.0, 3.0, 301,
+                         device.with_updates(squeezing_r=0.0, hopping_lambda=0.0),
                          curve_variable="xi", curve_values=(0.0, 0.1, 0.2, 0.3))
     if name == "fig3":
-        held = PhysicalParams(temperature=1e-4, squeezing_r=1.0,
-                              hopping_lambda=0.2 * kappa, **_PRESET_BASE)
-        return SweepSpec("T", 1e-6, 5e-3, 301, held,
+        return SweepSpec("T", 1e-6, 5e-3, 301, device,
                          curve_variable="gamma_over_kappa",
                          curve_values=(0.001, 0.005, 0.01, 0.05))
     if name == "fig4":
-        held = PhysicalParams(temperature=1e-4, squeezing_r=1.0,
-                              hopping_lambda=0.0, **_PRESET_BASE)
-        return SweepSpec("xi", 0.0, 1.0, 301, held,
+        return SweepSpec("xi", 0.0, 1.0, 301, device.with_updates(hopping_lambda=0.0),
                          curve_variable="T",
                          curve_values=(1e-4, 4e-4, 8e-4, 1.6e-3))
     raise ConfigError(f"unknown figure preset {name!r}; expected fig2, fig3 or fig4")

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import duomech
+from duomech import errors
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(duomech.__path__)
@@ -27,6 +28,18 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"duomech.{module}")
     for name in getattr(mod, "__all__", ()):
         assert hasattr(mod, name), f"duomech.{module}.{name}"
+
+
+def test_every_error_is_a_duomech_error_and_keeps_its_base():
+    bases = {"ConfigError": ValueError, "StabilityError": RuntimeError,
+             "PhysicalityError": ValueError, "UnsupportedBranchError": ValueError,
+             "BracketError": ValueError}
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type)}
+    assert classes.keys() == bases.keys() | {"DuomechError"}
+    for name, base in bases.items():
+        assert issubclass(classes[name], errors.DuomechError), name
+        assert issubclass(classes[name], base), name
 
 
 def test_runtime_imports_numpy_only(tmp_path):

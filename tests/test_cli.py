@@ -165,6 +165,26 @@ def test_mc_settings_without_a_verdict_refused(flag, value, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["--figure", "fig2", "--mc-seed", "3", "--mc-trajectories", "4"],
+     "--mc-seed, --mc-trajectories"),
+    (["--figure", "fig4", "--find-critical-xi", "0:1", "--mc-dt", "0.5"], "--mc-dt"),
+], ids=["sweep", "find-critical-xi"])
+def test_mc_settings_without_mc_validate_refused(argv, flags, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "figure_preset", lambda name: pytest.fail("work was done"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flags} given without --mc-validate\n"
+
+
+def test_find_critical_xi_writes_no_output(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "figure_preset", lambda name: pytest.fail("work was done"))
+    out = tmp_path / "never.csv"
+    assert main(["--figure", "fig4", "--find-critical-xi", "0:1",
+                 "--output", str(out)]) == 2
+    assert "--output is only the stem for --dump-matrices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_figure_choice(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--figure", "fig9"])

@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from duomech import EXAMPLE_CONFIG, ConfigError, load_config, parse_config
+from duomech import (
+    EXAMPLE_CONFIG,
+    ConfigError,
+    default_validation_grid,
+    load_config,
+    parse_config,
+    thermal_occupancy,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -20,6 +27,13 @@ def test_example_config_parses(tmp_path):
     assert load_config(path) == p
 
 
+def test_example_bath_occupancy():
+    # the closed-form report's grid sits at this occupancy
+    p = parse_config(EXAMPLE_CONFIG)
+    assert thermal_occupancy(p.omega_m, p.temperature) == 1.7380208490312972
+    assert {point.n_th for point in default_validation_grid()} == {1.7380208490312972}
+
+
 def test_rads_keys_taken_verbatim():
     cfg = EXAMPLE_CONFIG.replace("omega_m_hz        = 947e3",
                                  "omega_m_rads = 5950177.84")
@@ -30,6 +44,13 @@ def test_rads_keys_taken_verbatim():
 def test_unknown_key_is_named():
     with pytest.raises(ConfigError, match="omega_q_hz"):
         parse_config(EXAMPLE_CONFIG + "\nomega_q_hz = 1\n")
+
+
+@pytest.mark.parametrize("key", ["detuning_hz", "detuning_rads"])
+def test_detuning_is_not_a_key(key):
+    # the drive is fixed at the red sideband, -omega_m
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(EXAMPLE_CONFIG + f"\n{key} = -947e3\n")
 
 
 def test_duplicate_unit_variants_conflict():

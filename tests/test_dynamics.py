@@ -326,8 +326,8 @@ class TestSolveLyapunov:
 
     def test_residual_is_measured_where_the_squared_excess_overflows(self):
         # at r = 300 sigma (entries near 1e260) is right to rounding, but the
-        # excess's squared norm overflows: the solve passes on the scaled norm,
-        # and the mirror block is refused by the gate that applies to it
+        # excess's squared norm overflows and its norm does not: the solve
+        # passes, and the mirror block is refused by the gate that applies to it
         matrices = system_matrices(derive(reference_params(squeezing_r=300.0)))
         state = solve_lyapunov(matrices)
         assert 0.0 < state.residual <= 1e-10

@@ -196,17 +196,32 @@ class TestTwoModeCovariance:
             TwoModeCovariance.from_matrix(m)
 
     def test_rejects_non_positive_determinant(self, monkeypatch):
-        # a matrix that passes the symplectic gate has det sigma >= 1/16, so
-        # only a forced determinant reaches this gate
+        # the symplectic gate sees moduli only: diag(1, -1, 1, 1) passes it
+        # with both eigenvalues 1, and has det sigma = -1
+        with pytest.raises(PhysicalityError, match="non-positive covariance determinant"):
+            TwoModeCovariance.from_matrix(np.diag([1.0, -1.0, 1.0, 1.0]))
         monkeypatch.setattr(np.linalg, "det", lambda m: 0.0)
         with pytest.raises(PhysicalityError, match="non-positive covariance determinant"):
             TwoModeCovariance.from_matrix(thermal_state(1.0))
+
+    @pytest.mark.parametrize("m", [
+        -two_mode_squeezed_state(1.0),
+        -thermal_state(1.0),
+        np.diag([-1.0, -1.0, 1.0, 1.0]),
+        np.block([[np.eye(2), 2.0 * np.eye(2)], [2.0 * np.eye(2), np.eye(2)]]),
+    ], ids=["negative-tmsv", "negative-thermal", "negative-mode", "indefinite"])
+    def test_rejects_matrix_not_positive_definite(self, m):
+        # each passes the symplectic and det sigma > 0 gates: the spectrum
+        # and the determinant cannot tell sigma from -sigma
+        with pytest.raises(PhysicalityError, match="not positive definite"):
+            correlation_report(m)
 
     @pytest.mark.parametrize("field, value, match", [
         ("det_full", 0.0, "non-positive covariance determinant"),
         ("det_full", math.inf, "overflow"),
         ("det_full", 1e-20, "lost to rounding"),
         ("spectrum", np.array([0.3, 0.3]), "symplectic"),
+        ("matrix", -thermal_state(1.0), "not positive definite"),
     ])
     def test_gates_hold_however_the_object_is_built(self, field, value, match):
         # dataclasses.replace runs the constructor, not from_matrix

@@ -100,6 +100,17 @@ class TestEffectiveCoupling:
         p_coop = reference_params(cooperativity=c)
         assert power_from_cooperativity(p_coop) == pytest.approx(1.1e-5, rel=1e-12)
 
+    def test_pump_power_drives_at_the_red_sideband(self):
+        # the detuning is -omega_m: the drive denominator is (lambda - omega_m)^2
+        # + kappa^2/4
+        p = reference_params(cooperativity=None, pump_power=1.1e-5)
+        denominator = (p.hopping_lambda - p.omega_m) ** 2 + p.kappa**2 / 4.0
+        expected = (p.omega_c / p.cavity_length) * math.sqrt(
+            2.0 * p.kappa * p.pump_power
+            / (p.mass * p.omega_m * p.omega_l * denominator)
+        )
+        assert effective_coupling(p) == pytest.approx(expected, rel=1e-14)
+
     def test_scales_as_sqrt_power(self):
         p1 = reference_params(cooperativity=None, pump_power=3e-6)
         p4 = reference_params(cooperativity=None, pump_power=12e-6)
@@ -156,10 +167,6 @@ class TestValidation:
     def test_warns_outside_rwa_regime(self):
         with pytest.warns(UserWarning, match="rotating-wave"):
             reference_params(kappa=OMEGA_M / 2.0, hopping_lambda=0.0)
-
-    def test_detuning_defaults_to_red_sideband(self):
-        assert reference_params().detuning_effective == -OMEGA_M
-        assert reference_params(detuning=-1.0).detuning_effective == -1.0
 
 
 class TestWithUpdates:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from duomech import (
+    EXAMPLE_CONFIG,
     BracketError,
     ConfigError,
+    PhysicalParams,
     PhysicalityError,
     SweepRow,
     SweepSpec,
@@ -14,7 +17,9 @@ from duomech import (
     evaluate_point,
     figure_preset,
     find_critical_xi,
+    parse_config,
     run_sweep,
+    sweep,
 )
 from duomech.sweep import CSV_COLUMNS, _apply
 
@@ -124,6 +129,18 @@ class TestFigurePresets:
         with pytest.raises(ConfigError, match="preset"):
             figure_preset("fig9")
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("fig2", dict(squeezing_r=0.0, hopping_lambda=0.0)),
+        ("fig3", {}),
+        ("fig4", dict(hopping_lambda=0.0)),
+    ])
+    def test_held_point_is_the_example_device(self, name, overrides):
+        device = parse_config(EXAMPLE_CONFIG)
+        held = figure_preset(name).held
+        for field in dataclasses.fields(PhysicalParams):
+            expected = overrides.get(field.name, getattr(device, field.name))
+            assert getattr(held, field.name) == expected, field.name
+
 
 class TestRunSweep:
     def test_single_variable_rows(self):
@@ -149,6 +166,24 @@ class TestRunSweep:
             [0.0, 0.5, 1.0] * 2
         )
         assert [row.xi for row in rows] == pytest.approx([0.0] * 3 + [0.2] * 3)
+
+    def test_a_defect_propagates(self, monkeypatch):
+        def broken(params):
+            raise TypeError("a defect, not a failed point")
+
+        monkeypatch.setattr(sweep, "evaluate_point", broken)
+        with pytest.raises(TypeError, match="a defect"):
+            run_sweep(SweepSpec("r", 0.0, 1.0, 2, figure_preset("fig3").held))
+
+    def test_a_duomech_error_empties_the_row(self, monkeypatch, capsys):
+        def unphysical(params):
+            raise PhysicalityError("unphysical point")
+
+        monkeypatch.setattr(sweep, "evaluate_point", unphysical)
+        rows = run_sweep(SweepSpec("r", 0.0, 1.0, 2, figure_preset("fig3").held))
+        assert [(row.stable, row.n_th, row.log_negativity) for row in rows] == [
+            (False, None, None)] * 2
+        assert capsys.readouterr().err.count("failed: unphysical point") == 2
 
     def test_gamma_over_kappa_keeps_cooperativity(self):
         held = figure_preset("fig3").held
