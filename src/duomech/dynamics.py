@@ -57,7 +57,7 @@ class StabilityReport:
     verdict: str        # "stable" | "marginal" | "unstable"
     max_real: float     # largest real part of the drift spectrum [rad/s]
     threshold: float    # scale-aware tolerance used for the verdict [rad/s]
-    rates: tuple | None # (gamma, kappa, G, lambda) if _drift rebuilds W from them
+    rates: tuple        # (gamma, kappa, G, lambda), read where _drift writes them
 
     @property
     def is_stable(self) -> bool:
@@ -162,47 +162,41 @@ def _eigenvalues(m11: complex, m12: complex, m21: complex,
     return big, (m11 * m22 - m12 * m21) / big
 
 
+def _unsupported(which: str) -> UnsupportedBranchError:
+    return UnsupportedBranchError(
+        f"{which} matrix is not exchange symmetric (cavity 1 <-> 2) or not of the "
+        f"form build_{which} writes; the collective-mode sector solve does not apply")
+
+
 def check_stability(drift: np.ndarray) -> StabilityReport:
     """Classify the drift spectrum as stable/marginal/unstable.
 
     Stable iff max Re(eig) < -eps, marginal iff |max Re| <= eps, with the
     scale-aware tolerance eps = 1e-9 * max(gamma, kappa) (rates span several
-    decades, so an absolute tolerance would be meaningless).  The report
-    keeps the rates read where :func:`_drift` writes them if it rebuilds the
-    drift from them exactly.  Such a drift has the spectrum of the 2x2
-    sector drift M of its rates (see :func:`_collective_drift`), of conj(M)
-    and of their complex conjugates, so its max Re eig is that of M alone;
-    any other matrix goes through ``np.linalg.eigvals``.
+    decades, so an absolute tolerance would be meaningless).  The rates are
+    read where :func:`_drift` writes them; a drift it does not rebuild from
+    them exactly raises :class:`UnsupportedBranchError`, any other shape
+    ``ValueError``.  The drift has the spectrum of the 2x2 sector drift M of
+    its rates (see :func:`_collective_drift`), of conj(M) and of their
+    complex conjugates, so its max Re eig is that of M alone; a spectrum
+    that is not finite raises :class:`StabilityError`.
     """
     drift = np.asarray(drift, dtype=float)
-    if drift.ndim != 2 or drift.shape[0] != drift.shape[1]:
-        raise ValueError(f"drift must be square, got shape {drift.shape}")
-    rates = None
-    if drift.shape == (_N, _N):
-        rates = (-2.0 * drift.item(0, 0), -2.0 * drift.item(4, 4),
-                 drift.item(0, 4), drift.item(7, 4))
-        rates = rates if (drift == _drift(*rates)).all() else None
-    # the diagonal carries -gamma/2 and -kappa/2, so this is max(gamma, kappa)
-    if rates is None:
-        scale = 2.0 * float(abs(drift.diagonal()).max())
-    else:
-        scale = max(abs(rates[0]), abs(rates[1]))
+    if drift.shape != (_N, _N):
+        raise ValueError(f"drift must be 8x8, got shape {drift.shape}")
+    rates = (-2.0 * drift.item(0, 0), -2.0 * drift.item(4, 4),
+             drift.item(0, 4), drift.item(7, 4))
+    if not (drift == _drift(*rates)).all():
+        raise _unsupported("drift")
+    scale = max(abs(rates[0]), abs(rates[1]))
     if scale == 0.0:
         scale = max(float(abs(drift).max()), 1.0)
     eps = 1e-9 * scale
-    parts = [] if rates is None else [
-        lam.real for lam in _eigenvalues(*_collective_drift(*rates))
-    ]
-    # max() would pass over a NaN, so a non-finite drift goes to eigvals,
-    # which refuses it
-    if parts and math.isfinite(sum(parts)):
-        max_real = max(parts)
-    else:
-        try:
-            eigvals = np.linalg.eigvals(drift)
-        except np.linalg.LinAlgError as exc:
-            raise StabilityError(f"eigenvalue solver failed on drift matrix: {exc}") from exc
-        max_real = float(eigvals.real.max())
+    parts = [lam.real for lam in _eigenvalues(*_collective_drift(*rates))]
+    # max() would pass over a NaN; the sum does not
+    if not math.isfinite(sum(parts)):
+        raise StabilityError(f"drift spectrum is not finite (rates {rates!r})")
+    max_real = max(parts)
     if max_real < -eps:
         verdict = "stable"
     elif abs(max_real) <= eps:
@@ -363,16 +357,11 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     r = np.asarray(matrices.noise, dtype=float)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
-    rates = _require_stable(w).rates
+    gamma, kappa, coupling, lam = _require_stable(w).rates
     weights = (r.item(0, 0), r.item(4, 4), r.item(4, 6))
-    if rates is None or not (r == _noise(*weights)).all():
-        which = "drift" if rates is None else "noise"
-        raise UnsupportedBranchError(
-            f"{which} matrix is not exchange symmetric (cavity 1 <-> 2) or not of the "
-            f"form build_{which} writes; the collective-mode sector solve does not apply"
-        )
-    scale = max(abs(rates[0]), abs(rates[1]))  # > 0: W is stable, so gamma + kappa > 0
-    gamma, kappa, coupling, lam = rates
+    if not (r == _noise(*weights)).all():
+        raise _unsupported("noise")
+    scale = max(abs(gamma), abs(kappa))  # > 0: W is stable, so gamma + kappa > 0
     noise = (weights[0] / scale, weights[1] / scale, weights[2] / scale)
     # sigma, row major, then sigma - sigma^T
     both = np.dot(_SIGMA_MAP, np.array(_sector_covariance(

@@ -13,10 +13,10 @@ operators, the classical ensemble covariance of these trajectories equals
 the symmetric-ordered quantum covariance; that equivalence is what makes
 this module a valid independent check of the Lyapunov solution.
 
-The oracle accepts only a drift that ``build_drift`` writes: it takes the
-rates (gamma, kappa, G, lambda) from the stability check's report and
-refuses any other drift, and any with a gamma or kappa that is not finite
-and positive, as a ``ConfigError``.  Time runs in units of 1/kappa
+The oracle takes the rates (gamma, kappa, G, lambda) from the stability
+check's report, which refuses a drift that ``build_drift`` does not write,
+and refuses a gamma or kappa that is not finite and positive as a
+``ConfigError``.  Time runs in units of 1/kappa
 internally; configuration durations are expressed in those units.  The
 generator is numpy's PCG64, seeded explicitly, and the algorithm name is
 carried in the estimate for reproducibility.
@@ -181,13 +181,12 @@ def integrate_steady_covariance(matrices: SystemMatrices,
         config = SdeConfig()
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
-    rates = _require_stable(w).rates
-    if rates is None or not all(math.isfinite(x) and x > 0.0 for x in rates[:2]):
+    gamma, kappa, coupling, lam = rates = _require_stable(w).rates
+    if not all(math.isfinite(x) and x > 0.0 for x in (gamma, kappa)):
         raise ConfigError(
-            "the trajectory oracle integrates only a drift that build_drift "
-            f"writes, with finite positive gamma and kappa (decoded rates: {rates!r})"
+            "the trajectory oracle integrates only finite positive gamma and "
+            f"kappa (decoded rates: {rates!r})"
         )
-    gamma, kappa, coupling, lam = rates
     wn = w / kappa
     rn = r / kappa
     n_burn, n_sample, slowest = _resolve_durations(

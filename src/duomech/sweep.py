@@ -4,6 +4,7 @@ a bisection finder for the hopping strength at which entanglement dies."""
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,6 +56,11 @@ class SweepSpec:
             )
         if self.num < 2:
             raise ConfigError(f"sweep needs at least 2 points, got {self.num}")
+        if not math.isfinite((self.stop - self.start) / (self.num - 1)):
+            raise ConfigError(
+                f"sweep range [{self.start}, {self.stop}] over {self.num} points "
+                "needs finite ends and a finite step"
+            )
         if self.curve_variable is not None:
             if self.curve_variable not in SWEEP_VARIABLES:
                 raise ConfigError(f"unknown curve variable {self.curve_variable!r}")
@@ -237,11 +243,11 @@ def find_critical_xi(held: PhysicalParams, bracket: tuple[float, float]) -> Crit
     """Locate the hopping strength where the log-negativity reaches zero.
 
     Bisects the indicator E_N > 1e-10 down to a xi-resolution of 1e-6; the
-    bracket must satisfy E_N(lo) > 0 and E_N(hi) = 0.
+    bracket must satisfy 0 <= lo < hi < inf, E_N(lo) > 0 and E_N(hi) = 0.
     """
     lo, hi = bracket
-    if not lo < hi:
-        raise BracketError(f"bracket must satisfy lo < hi, got {bracket!r}")
+    if not (0.0 <= lo < hi and math.isfinite(hi)):
+        raise BracketError(f"bracket must satisfy 0 <= lo < hi < inf, got {bracket!r}")
     en_lo = _en_at_xi(held, lo)
     en_hi = _en_at_xi(held, hi)
     if en_lo <= _EN_TOL or en_hi > _EN_TOL:

@@ -151,6 +151,17 @@ def test_bracket_arg_format_errors(config_file, capsys):
     assert "LO:HI" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, message", [
+    (["--sweep", "r=0:inf:3"], "sweep range [0.0, inf] over 3 points"),
+    (["--find-critical-xi", "0:inf"], "got (0.0, inf)"),
+    (["--find-critical-xi=-1:1"], "got (-1.0, 1.0)"),
+], ids=["sweep-to-inf", "bracket-to-inf", "negative-bracket"])
+def test_non_finite_or_negative_range_names_itself(config_file, capsys, mode, message):
+    # refused as typed, not as a NaN point or a hopping the user never gave
+    assert main(["--config", str(config_file), *mode]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_nothing_to_do(config_file, capsys):
     code = main(["--config", str(config_file)])
     assert code == 2

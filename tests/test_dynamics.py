@@ -124,18 +124,31 @@ class TestCheckStability:
         assert check_stability(np.zeros((8, 8))).verdict == "marginal"
 
     def test_growth_is_unstable(self):
-        assert check_stability(np.eye(3)).verdict == "unstable"
+        # anti-damped, uncoupled mirrors: the mechanical modes grow at -gamma/2
+        d = DerivedParams(n_th=0.0, n_sq=0.0, m_sq=0.0, coupling=0.0,
+                          cooperativity=0.0, xi=0.0, gamma_prime=0.0,
+                          kappa_prime=0.0, gamma=-GAMMA, kappa=KAPPA, hopping_lambda=0.0)
+        report = check_stability(build_drift(d))
+        assert report.verdict == "unstable"
+        assert report.max_real == pytest.approx(GAMMA / 2, rel=1e-9)
+        assert report.rates == (-GAMMA, KAPPA, 0.0, 0.0)
 
-    def test_fallback_for_other_matrices(self):
-        # not 8x8, or 8x8 without the sector structure: 8x8 eigvals decides
-        assert check_stability(np.eye(3)).max_real == 1.0
-        assert check_stability(np.eye(3)).rates is None
+    def test_refuses_drift_the_builders_do_not_write(self):
+        # 8x8 without the sector structure, or not 8x8: no second route
         drift = build_drift(derive(reference_params()))
         drift[0, 0] *= 1.5      # mirror 1 only
-        report = check_stability(drift)
-        assert report.max_real == float(np.linalg.eigvals(drift).real.max())
-        assert report.is_stable
-        assert report.rates is None
+        with pytest.raises(UnsupportedBranchError, match="drift matrix .* build_drift"):
+            check_stability(drift)
+        with pytest.raises(ValueError, match="must be 8x8"):
+            check_stability(np.eye(3))
+
+    @pytest.mark.parametrize("rates", [
+        (math.inf, KAPPA, 0.0, 0.0),
+        (GAMMA, KAPPA, 1e300, 1e300),   # finite rates, overflowing spectrum
+    ])
+    def test_non_finite_spectrum_is_a_stability_error(self, rates):
+        with pytest.raises(StabilityError, match="not finite"):
+            check_stability(dynamics._drift(*rates))
 
     def test_sector_route_matches_eigvals_across_parameter_space(self):
         # log-uniform C, xi, gamma/kappa down to 1e-5, strong coupling included
@@ -373,10 +386,6 @@ class TestSolveLyapunov:
         drift = matrices.drift.copy()
         mu = 0.1 * GAMMA
         drift[0:2, 2:4] = drift[2:4, 0:2] = mu * np.eye(2)
-        report = check_stability(drift)
-        assert report.max_real == float(np.linalg.eigvals(drift).real.max())
-        assert report.is_stable
-        assert report.rates is None
         with pytest.raises(UnsupportedBranchError, match="drift matrix"):
             solve_lyapunov(SystemMatrices(drift=drift, noise=matrices.noise))
 

@@ -12,6 +12,7 @@ from duomech import (
     SdeConfig,
     StabilityError,
     SystemMatrices,
+    UnsupportedBranchError,
     check_stability,
     compare_to_lyapunov,
     derive,
@@ -225,15 +226,25 @@ class TestIntegration:
             integrate_steady_covariance(bad, FAST_CONFIG)
 
     @pytest.mark.parametrize("at,rate", [(4, "kappa"), (0, "gamma")])
-    def test_damping_off_the_read_diagonal_is_a_config_error(self, at, rate):
-        # strictly stable, but the damping of quadratures at, at + 1 sits off
-        # the diagonal: not a drift build_drift writes, so the stability
-        # report carries no rates and the oracle refuses it
+    def test_damping_off_the_read_diagonal_is_refused(self, at, rate):
+        # strictly stable, but the damping of the quadratures at, at + 1 of
+        # the mode whose rate is ``rate`` sits off the diagonal: not a drift
+        # build_drift writes, so the stability check refuses it
         drift = -0.5 * np.eye(8)
         drift[at:at + 2, at:at + 2] = [[0.0, 1.0], [-1.0, -1.0]]
+        assert np.linalg.eigvals(drift).real.max() < 0.0
         matrices = SystemMatrices(drift=drift, noise=np.eye(8))
-        with pytest.raises(ConfigError, match=rate):
+        with pytest.raises(UnsupportedBranchError, match="build_drift"):
             integrate_steady_covariance(matrices, FAST_CONFIG)
+
+    def test_undamped_mirrors_are_a_config_error(self):
+        # gamma = 0 with coupling: a strictly stable drift build_drift writes,
+        # but the oracle's durations scale with 1/gamma
+        drift = dynamics._drift(0.0, KAPPA, 0.1 * KAPPA, 0.0)
+        assert check_stability(drift).is_stable
+        with pytest.raises(ConfigError, match="finite positive gamma"):
+            integrate_steady_covariance(SystemMatrices(drift=drift, noise=np.eye(8)),
+                                        FAST_CONFIG)
 
     def test_stable_drift_the_builders_do_not_write_is_refused(self):
         # fig3's held point at gamma = 0.05 kappa with a mirror-mirror
@@ -244,9 +255,9 @@ class TestIntegration:
         matrices = system_matrices(d)
         drift = matrices.drift.copy()
         drift[0:2, 2:4] = drift[2:4, 0:2] = 0.1 * d.gamma * np.eye(2)
-        assert check_stability(drift).is_stable
+        assert np.linalg.eigvals(drift).real.max() < 0.0
         config = SdeConfig(burn_in=220, sample_duration=1, n_trajectories=2, seed=1)
-        with pytest.raises(ConfigError, match="build_drift"):
+        with pytest.raises(UnsupportedBranchError, match="build_drift"):
             integrate_steady_covariance(
                 SystemMatrices(drift=drift, noise=matrices.noise), config
             )

@@ -79,6 +79,16 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="start < stop"):
             SweepSpec("r", 1.0, 1.0, 5, held)
 
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, math.inf),
+        (-math.inf, 0.0),
+        (-1e308, 1e308),    # finite ends, overflowing step
+    ])
+    def test_requires_finite_range_and_step(self, start, stop):
+        held = figure_preset("fig2").held
+        with pytest.raises(ConfigError, match=r"sweep range \[.*\] over 3 points"):
+            SweepSpec("r", start, stop, 3, held)
+
     def test_requires_two_points(self):
         held = figure_preset("fig2").held
         with pytest.raises(ConfigError, match="at least 2"):
@@ -304,6 +314,14 @@ class TestFindCriticalXi:
     def test_reversed_bracket_rejected(self, held):
         with pytest.raises(BracketError, match="lo < hi"):
             find_critical_xi(held, (1.0, 0.0))
+
+    @pytest.mark.parametrize("bracket", [(0.0, math.inf), (-1.0, 1.0), (math.nan, 1.0)],
+                             ids=["to-inf", "negative", "nan"])
+    def test_non_finite_or_negative_bracket_rejected_before_evaluating(
+            self, held, bracket, monkeypatch):
+        monkeypatch.setattr(sweep, "_en_at_xi", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(BracketError, match=r"0 <= lo < hi < inf, got \("):
+            find_critical_xi(held, bracket)
 
     def test_locates_entanglement_death(self, held):
         result = find_critical_xi(held, (0.0, 1.0))
