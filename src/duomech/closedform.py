@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .config import EXAMPLE_CONFIG, parse_config
 from .dynamics import solve_lyapunov, system_matrices
 from .errors import ConfigError, StabilityError
-from .params import (DerivedParams, _coupling_from_cooperativity, _derived_params,
-                     squeezed_moments, thermal_occupancy)
+from .params import PhysicalParams, derive, squeezed_moments
+from .sweep import _write_table
 
 __all__ = [
     "MechanicalCovarianceClosed",
@@ -122,14 +122,14 @@ def closed_sigma_corrected(
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One comparison point; rates enter only through gamma/kappa apart from
-    the verbatim formula's explicit kappa dependence."""
+    """One comparison point at the device's kappa and bath: the
+    :data:`~duomech.config.EXAMPLE_CONFIG` device with this drive strength,
+    squeezing, hopping xi = lambda/kappa and damping ratio gamma/kappa."""
 
     cooperativity: float
     squeezing_r: float
     xi: float
     gamma_over_kappa: float
-    n_th: float
 
 
 @dataclass(frozen=True)
@@ -169,17 +169,22 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _derived_from_point(point: GridPoint, kappa: float) -> DerivedParams:
-    gamma = point.gamma_over_kappa * kappa
-    coupling = _coupling_from_cooperativity(point.cooperativity, gamma, kappa)
-    return _derived_params(point.n_th, point.squeezing_r, coupling, point.cooperativity,
-                           gamma, kappa, point.xi * kappa)
+def _device_at(point: GridPoint) -> PhysicalParams:
+    """The device at ``point``; a ConfigError names the point."""
+    kappa = _DEVICE.kappa
+    try:
+        return _DEVICE.with_updates(
+            cooperativity=point.cooperativity, squeezing_r=point.squeezing_r,
+            hopping_lambda=point.xi * kappa, gamma=point.gamma_over_kappa * kappa)
+    except ConfigError as exc:
+        raise ConfigError(f"{point!r}: {exc}") from None
 
 
 def validate_closed_forms(grid) -> ClosedFormReport:
     """Compare the verbatim closed form against the Lyapunov solution on a
-    grid of :class:`GridPoint` at the device's kappa = 2 pi x 14 kHz;
-    unstable points are skipped with notation.
+    grid of :class:`GridPoint`; each point goes through :func:`derive`
+    like any other parameter set, and unstable points are skipped with
+    notation.  An invalid point raises :class:`ConfigError`.
 
     The summary also re-evaluates the verbatim variance formula with rates
     normalized to kappa = 1, which isolates the inconsistent linewidth power
@@ -191,7 +196,7 @@ def validate_closed_forms(grid) -> ClosedFormReport:
     dev_r0: list[float] = [0.0]
     dev_norm: list[float] = [0.0]
     for point in grid:
-        derived = _derived_from_point(point, _DEVICE.kappa)
+        derived = derive(_device_at(point))
         try:
             mech = solve_lyapunov(system_matrices(derived)).mechanical_block
         except StabilityError:
@@ -199,7 +204,7 @@ def validate_closed_forms(grid) -> ClosedFormReport:
             continue
         s1_l, s12_l, s13_l = mech[0, 0], mech[0, 1], mech[0, 2]
         closed = closed_sigma(point.cooperativity, point.squeezing_r, point.xi,
-                              derived.gamma, _DEVICE.kappa, point.n_th)
+                              derived.gamma, derived.kappa, derived.n_th)
         row = ClosedFormRow(
             point=point,
             sigma1_closed=closed.sigma1, sigma1_lyap=float(s1_l),
@@ -215,7 +220,7 @@ def validate_closed_forms(grid) -> ClosedFormReport:
         if point.squeezing_r == 0.0:
             dev_r0.append(max(row.rel_dev_12, row.rel_dev_13))
         normalized = closed_sigma(point.cooperativity, point.squeezing_r, point.xi,
-                                  point.gamma_over_kappa, 1.0, point.n_th)
+                                  point.gamma_over_kappa, 1.0, derived.n_th)
         dev_norm.append(_rel_dev(normalized.sigma1, float(s1_l)))
     return ClosedFormReport(
         rows=tuple(rows),
@@ -231,18 +236,16 @@ def validate_closed_forms(grid) -> ClosedFormReport:
 
 def default_validation_grid() -> list[GridPoint]:
     """Comparison grid: the undriven point, an r-scan without hopping, and an
-    r x xi scan at the device's drive strength (C = 32.11), all at the
-    thermal occupancy of its 0.1 mK bath."""
-    n_th = thermal_occupancy(_DEVICE.omega_m, _DEVICE.temperature)
+    r x xi scan at the device's drive strength (C = 32.11)."""
     c = _DEVICE.cooperativity
-    grid = [GridPoint(0.0, 1.0, 0.2, 0.01, n_th)]
+    grid = [GridPoint(0.0, 1.0, 0.2, 0.01)]
     for r in [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]:
-        grid.append(GridPoint(c, r, 0.0, 0.01, n_th))
+        grid.append(GridPoint(c, r, 0.0, 0.01))
     for xi in [0.0, 0.1, 0.2, 0.3]:
         for r in [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0]:
-            grid.append(GridPoint(c, r, xi, 0.01, n_th))
+            grid.append(GridPoint(c, r, xi, 0.01))
     for gok in [0.001, 0.005, 0.05]:
-        grid.append(GridPoint(c, 1.0, 0.2, gok, n_th))
+        grid.append(GridPoint(c, 1.0, 0.2, gok))
     return grid
 
 
@@ -255,31 +258,27 @@ _CSV_COLUMNS = (
 
 
 def write_report_csv(report: ClosedFormReport, path) -> None:
-    """Write the discrepancy report; '#' metadata lines carry the summary."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# kappa_rads={_DEVICE.kappa:.17g}\n")
-        fh.write(f"# skipped_unstable={len(report.skipped_unstable)}\n")
-        fh.write(f"# max_rel_dev_1={report.max_rel_dev_1:.17g}\n")
-        fh.write(f"# max_rel_dev_12={report.max_rel_dev_12:.17g}\n")
-        fh.write(f"# max_rel_dev_13={report.max_rel_dev_13:.17g}\n")
-        fh.write(f"# max_rel_dev_at_c0={report.max_rel_dev_at_c0:.17g}\n")
-        fh.write(f"# max_rel_dev_12_13_at_r0={report.max_rel_dev_12_13_at_r0:.17g}\n")
-        fh.write(
-            f"# max_rel_dev_1_normalized={report.max_rel_dev_1_normalized:.17g}\n"
-        )
-        fh.write(f"# agrees_within_1e8={str(report.agrees_within_1e8).lower()}\n")
-        fh.write(
-            "# note=sigma12/sigma13 expressions are exact; the sigma1 deviation "
-            "disappears when rates are expressed in units of kappa, isolating "
-            "the kappa^2 cosh(2r) bracket term as the sole inconsistency\n"
-        )
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
-        for row in report.rows:
-            p = row.point
-            values = (
-                p.cooperativity, p.squeezing_r, p.xi, p.gamma_over_kappa, p.n_th,
-                row.sigma1_closed, row.sigma1_lyap, row.rel_dev_1,
-                row.sigma12_closed, row.sigma12_lyap, row.rel_dev_12,
-                row.sigma13_closed, row.sigma13_lyap, row.rel_dev_13,
-            )
-            fh.write(",".join(f"{v:.17g}" for v in values) + "\n")
+    """Write the discrepancy report; '#' metadata lines carry the summary.
+    Every point sits at the device's bath, so every row has its n_th."""
+    n_th = derive(_DEVICE).n_th
+    _write_table(path, [
+        f"kappa_rads={_DEVICE.kappa:.17g}",
+        f"skipped_unstable={len(report.skipped_unstable)}",
+        f"max_rel_dev_1={report.max_rel_dev_1:.17g}",
+        f"max_rel_dev_12={report.max_rel_dev_12:.17g}",
+        f"max_rel_dev_13={report.max_rel_dev_13:.17g}",
+        f"max_rel_dev_at_c0={report.max_rel_dev_at_c0:.17g}",
+        f"max_rel_dev_12_13_at_r0={report.max_rel_dev_12_13_at_r0:.17g}",
+        f"max_rel_dev_1_normalized={report.max_rel_dev_1_normalized:.17g}",
+        f"agrees_within_1e8={str(report.agrees_within_1e8).lower()}",
+        "note=sigma12/sigma13 expressions are exact; the sigma1 deviation "
+        "disappears when rates are expressed in units of kappa, isolating "
+        "the kappa^2 cosh(2r) bracket term as the sole inconsistency",
+    ], _CSV_COLUMNS, [
+        (row.point.cooperativity, row.point.squeezing_r, row.point.xi,
+         row.point.gamma_over_kappa, n_th,
+         row.sigma1_closed, row.sigma1_lyap, row.rel_dev_1,
+         row.sigma12_closed, row.sigma12_lyap, row.rel_dev_12,
+         row.sigma13_closed, row.sigma13_lyap, row.rel_dev_13)
+        for row in report.rows
+    ])

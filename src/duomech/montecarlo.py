@@ -56,6 +56,7 @@ import numpy as np
 
 from .dynamics import CovarianceState, SystemMatrices, _require_stable
 from .errors import ConfigError, PhysicalityError
+from .sweep import _write_table
 
 __all__ = [
     "SdeConfig",
@@ -324,28 +325,18 @@ def compare_to_lyapunov(mc: McEstimate, exact: CovarianceState) -> McComparison:
 
 def write_comparison_csv(comparison: McComparison, mc: McEstimate,
                          exact: CovarianceState, path) -> None:
-    """One row per unique covariance entry."""
-    sigma = exact.full
+    """One row per unique covariance entry; ``rel_dev`` is empty where the
+    exact entry has no relative scale (see :func:`compare_to_lyapunov`)."""
     cfg = mc.config
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# rng={mc.rng_algorithm} seed={cfg.seed}\n")
-        fh.write(
-            f"# dt={cfg.dt:.17g} n_trajectories={cfg.n_trajectories} "
-            f"n_samples={mc.n_samples}\n"
-        )
-        fh.write(
-            f"# passed={str(comparison.passed).lower()} "
-            f"max_abs_z={comparison.max_abs_z:.17g} "
-            f"n_unique_above_3se={comparison.n_unique_above_3se}\n"
-        )
-        fh.write("i,j,exact,estimate,std_error,z,rel_dev\n")
-        dim = sigma.shape[0]
-        for i in range(dim):
-            for j in range(i, dim):
-                rel = comparison.rel_dev[i, j]
-                rel_str = "" if np.isnan(rel) else f"{rel:.17g}"
-                fh.write(
-                    f"{i},{j},{sigma[i, j]:.17g},{mc.cov_estimate[i, j]:.17g},"
-                    f"{mc.std_error[i, j]:.17g},{comparison.z_scores[i, j]:.17g},"
-                    f"{rel_str}\n"
-                )
+    dim = exact.full.shape[0]
+    _write_table(path, [
+        f"rng={mc.rng_algorithm} seed={cfg.seed}",
+        f"dt={cfg.dt:.17g} n_trajectories={cfg.n_trajectories} n_samples={mc.n_samples}",
+        f"passed={str(comparison.passed).lower()} max_abs_z={comparison.max_abs_z:.17g} "
+        f"n_unique_above_3se={comparison.n_unique_above_3se}",
+    ], ("i", "j", "exact", "estimate", "std_error", "z", "rel_dev"), [
+        (i, j, exact.full[i, j], mc.cov_estimate[i, j], mc.std_error[i, j],
+         comparison.z_scores[i, j],
+         None if np.isnan(comparison.rel_dev[i, j]) else comparison.rel_dev[i, j])
+        for i in range(dim) for j in range(i, dim)
+    ])

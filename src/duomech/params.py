@@ -183,11 +183,6 @@ def _drive_denominator(params: PhysicalParams) -> float:
     return d * d + params.kappa**2 / 4.0
 
 
-def _coupling_from_cooperativity(cooperativity: float, gamma: float, kappa: float) -> float:
-    """G that realizes C = 4 G^2 / (gamma kappa) [rad/s]."""
-    return math.sqrt(cooperativity * gamma * kappa / 4.0)
-
-
 def effective_coupling(params: PhysicalParams) -> float:
     """Many-photon optomechanical coupling G [rad/s].
 
@@ -200,7 +195,7 @@ def effective_coupling(params: PhysicalParams) -> float:
     inverted instead.
     """
     if params.cooperativity is not None:
-        return _coupling_from_cooperativity(params.cooperativity, params.gamma, params.kappa)
+        return math.sqrt(params.cooperativity * params.gamma * params.kappa / 4.0)
     return (params.omega_c / params.cavity_length) * math.sqrt(
         2.0
         * params.kappa
@@ -233,19 +228,10 @@ def derive(params: PhysicalParams) -> DerivedParams:
         cooperativity = params.cooperativity
     else:
         cooperativity = 4.0 * coupling**2 / (params.gamma * params.kappa)
-    return _derived_params(n_th, params.squeezing_r, coupling, cooperativity,
-                           params.gamma, params.kappa, params.hopping_lambda)
-
-
-def _derived_params(n_th: float, squeezing_r: float, coupling: float,
-                    cooperativity: float, gamma: float, kappa: float,
-                    hopping_lambda: float) -> DerivedParams:
-    """:class:`DerivedParams` from the bath occupancy, the squeezing, the
-    drive (G and C) and the rates."""
-    n_sq, m_sq = squeezed_moments(squeezing_r)
+    n_sq, m_sq = squeezed_moments(params.squeezing_r)
     return DerivedParams(
         n_th=n_th, n_sq=n_sq, m_sq=m_sq, coupling=coupling, cooperativity=cooperativity,
-        xi=hopping_lambda / kappa, gamma_prime=gamma * (n_th + 0.5),
-        kappa_prime=kappa * (n_sq + 0.5), gamma=gamma, kappa=kappa,
-        hopping_lambda=hopping_lambda,
+        xi=params.hopping_lambda / params.kappa, gamma_prime=params.gamma * (n_th + 0.5),
+        kappa_prime=params.kappa * (n_sq + 0.5), gamma=params.gamma, kappa=params.kappa,
+        hopping_lambda=params.hopping_lambda,
     )

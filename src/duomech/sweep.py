@@ -61,6 +61,8 @@ class SweepSpec:
                 f"sweep range [{self.start}, {self.stop}] over {self.num} points "
                 "needs finite ends and a finite step"
             )
+        grid = self.grid()
+        values = [(self.variable, grid[0]), (self.variable, grid[-1])]
         if self.curve_variable is not None:
             if self.curve_variable not in SWEEP_VARIABLES:
                 raise ConfigError(f"unknown curve variable {self.curve_variable!r}")
@@ -68,6 +70,14 @@ class SweepSpec:
                 raise ConfigError("curve variable must differ from the swept variable")
             if not self.curve_values:
                 raise ConfigError("curve_values must be non-empty when curve_variable is set")
+            values += [(self.curve_variable, value) for value in self.curve_values]
+        # each variable's admissible values form an interval and _apply is
+        # monotone in the value, so the grid's ends stand for the whole grid
+        for variable, value in values:
+            try:
+                _apply(self.held, variable, value)
+            except ConfigError as exc:
+                raise ConfigError(f"{variable}={value:g} is refused: {exc}") from None
 
     def grid(self) -> list[float]:
         step = (self.stop - self.start) / (self.num - 1)
@@ -138,32 +148,35 @@ class SweepRow:
 
 def _row_from_point(swept_value: float, curve_value: float | None,
                     params: PhysicalParams, result: PointResult | None) -> SweepRow:
-    """``result`` is None when the point failed.  The rows are built
-    positionally, in SweepRow's field order (that of CSV_COLUMNS)."""
-    if result is None:
-        return SweepRow(swept_value, curve_value, params.squeezing_r, None,
-                        params.temperature, params.gamma, params.kappa, None, None,
-                        None, None, None, None, None, None, None, False)
-    derived, report = result.derived, result.report
-    if report is None or result.state is None:
-        return SweepRow(swept_value, curve_value, params.squeezing_r, derived.xi,
-                        params.temperature, params.gamma, params.kappa,
-                        derived.cooperativity, derived.n_th,
-                        None, None, None, None, None, None, None, result.stable)
-    sigma1, sigma12, sigma13 = result.state.mechanical_block[0, :3].tolist()
-    return SweepRow(swept_value, curve_value, params.squeezing_r, derived.xi,
+    """``result`` is None when the point failed.  The derived fields are None
+    where the point failed, and the measure fields where it failed or is
+    unstable.  The row is built positionally, in SweepRow's field order (that
+    of CSV_COLUMNS): keywords would cost about 1 us more per row."""
+    derived = None if result is None else result.derived
+    report = None if result is None else result.report
+    sigma1 = sigma12 = sigma13 = None
+    if report is not None:
+        sigma1, sigma12, sigma13 = result.state.mechanical_block[0, :3].tolist()
+    return SweepRow(swept_value, curve_value, params.squeezing_r,
+                    None if derived is None else derived.xi,
                     params.temperature, params.gamma, params.kappa,
-                    derived.cooperativity, derived.n_th, sigma1, sigma12, sigma13,
-                    report.steering_ab, report.log_negativity, report.discord,
-                    report.nu_minus, result.stable)
+                    None if derived is None else derived.cooperativity,
+                    None if derived is None else derived.n_th,
+                    sigma1, sigma12, sigma13,
+                    None if report is None else report.steering_ab,
+                    None if report is None else report.log_negativity,
+                    None if report is None else report.discord,
+                    None if report is None else report.nu_minus,
+                    result is not None and result.stable)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid in deterministic order (outer: curve values,
     inner: swept grid ascending).  A point that raises a
     :class:`~duomech.errors.DuomechError` is reported on stderr and yields a
-    row with empty derived and measure fields; it never aborts the sweep.
-    Any other exception is a defect and propagates."""
+    row with empty derived and measure fields; it never aborts the sweep
+    (a value that :class:`PhysicalParams` refuses is refused earlier, by
+    :class:`SweepSpec`).  Any other exception is a defect and propagates."""
     curves: list[float | None] = (
         list(spec.curve_values) if spec.curve_variable else [None]
     )
@@ -279,27 +292,40 @@ CSV_COLUMNS = (
 
 def emit_csv(rows, path_or_file, metadata: dict | None = None) -> None:
     """Write sweep rows as CSV: deterministic byte output for identical
-    inputs (sorted '#' metadata lines, 17-significant-digit decimal text,
-    no timestamps).  ``path_or_file`` may be a path or an open text stream."""
-    if hasattr(path_or_file, "write"):
-        _write_csv(rows, path_or_file, metadata)
+    inputs (sorted '#' metadata lines, 17-significant-digit decimal text, an
+    empty field for None, no timestamps).  ``path_or_file`` may be a path or
+    an open text stream."""
+    comments = [f"{key}={metadata[key]}" for key in sorted(metadata or {})]
+    # SweepRow declares its fields in CSV_COLUMNS order, stable last
+    _write_table(path_or_file, comments, CSV_COLUMNS,
+                 ((*numbers, "true" if stable else "false")
+                  for *numbers, stable in (vars(row).values() for row in rows)))
+
+
+_FORMATS = {type(None): "%.0s", str: "%s"}   # any other type is a number
+
+
+def _write_table(path_or_file, comments, header, rows) -> None:
+    """The one table format of every CSV the package writes: a '# ' line per
+    comment, the header, then one line per row tuple, with a number written
+    '%.17g', a string as it is and None as an empty field.  ``path_or_file``
+    may be a path or an open text stream."""
+    if not hasattr(path_or_file, "write"):
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            _write_table(fh, comments, header, rows)
         return
-    with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(rows, fh, metadata)
-
-
-def _write_csv(rows, fh, metadata: dict | None) -> None:
-    for key in sorted(metadata or {}):
-        fh.write(f"# {key}={metadata[key]}\n")
-    fh.write(",".join(CSV_COLUMNS) + "\n")
-    # one template per pattern of empty fields: "%.0s" writes nothing for None
-    templates: dict[tuple[bool, ...], str] = {}
+    fh = path_or_file
+    for comment in comments:
+        fh.write(f"# {comment}\n")
+    fh.write(",".join(header) + "\n")
+    # one template per pattern of field types: "%.0s" writes nothing for None
+    templates: dict[tuple[type, ...], str] = {}
     for row in rows:
-        # SweepRow declares its fields in CSV_COLUMNS order, stable last
-        *numbers, stable = vars(row).values()
-        empty = tuple([v is None for v in numbers])
-        template = templates.get(empty)
+        # an exact-size tuple: tuple(map(...)) grows one by resizing, and
+        # CPython's tuple free list then keeps a copy per row
+        kinds = (*map(type, row),)
+        template = templates.get(kinds)
         if template is None:
-            template = templates[empty] = ",".join(
-                "%.0s" if e else "%.17g" for e in empty) + ",%s\n"
-        fh.write(template % (*numbers, "true" if stable else "false"))
+            template = templates[kinds] = ",".join(
+                _FORMATS.get(kind, "%.17g") for kind in kinds) + "\n"
+        fh.write(template % row)

@@ -16,6 +16,7 @@ from duomech import (
     load_config,
     measures,
     montecarlo,
+    sweep,
 )
 from duomech.cli import main
 from duomech.sweep import CSV_COLUMNS
@@ -160,6 +161,27 @@ def test_non_finite_or_negative_range_names_itself(config_file, capsys, mode, me
     # refused as typed, not as a NaN point or a hopping the user never gave
     assert main(["--config", str(config_file), *mode]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, message", [
+    (["--sweep", "r=0:3:301", "--curves", "gamma_over_kappa=1e-3,0"],
+     "gamma_over_kappa=0 is refused: gamma must be finite and positive"),
+    (["--sweep", "gamma_over_kappa=0:0.1:3"],
+     "gamma_over_kappa=0 is refused: gamma must be finite and positive"),
+    (["--sweep", "r=0:3:301", "--curves", "xi=1e308"],
+     "xi=1e+308 is refused: hopping_lambda must be finite"),
+], ids=["curve-gamma-zero", "sweep-gamma-zero", "curve-hopping-overflows"])
+def test_refused_sweep_value_evaluates_no_point(tmp_path, config_file, capsys, monkeypatch,
+                                                mode, message):
+    # refused as typed before the first point, not after a curve of them
+    calls = []
+    evaluate = sweep.evaluate_point
+    monkeypatch.setattr(sweep, "evaluate_point",
+                        lambda params: calls.append(params) or evaluate(params))
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(config_file), *mode, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_nothing_to_do(config_file, capsys):

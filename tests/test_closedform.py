@@ -10,8 +10,8 @@ from duomech import (
     validate_closed_forms,
     write_report_csv,
 )
-from duomech import dynamics
-from duomech.closedform import GridPoint, _derived_from_point
+from duomech import EXAMPLE_CONFIG, HBAR, KB, derive, dynamics, parse_config
+from duomech.closedform import GridPoint
 from duomech.dynamics import solve_lyapunov, system_matrices
 from duomech.errors import ConfigError
 
@@ -26,8 +26,22 @@ VERBATIM_SIGMA12 = 0.6141997172192339
 VERBATIM_SIGMA13 = 1.497746351754473
 
 
-def lyapunov_triple(point: GridPoint, kappa: float = KAPPA):
-    mech = solve_lyapunov(system_matrices(_derived_from_point(point, kappa))).mechanical_block
+DEVICE = parse_config(EXAMPLE_CONFIG)
+
+
+def device(c, r, xi, gok, temperature=DEVICE.temperature):
+    """The report's device at a point, at any bath temperature."""
+    return DEVICE.with_updates(cooperativity=c, squeezing_r=r, hopping_lambda=xi * KAPPA,
+                               gamma=gok * KAPPA, temperature=temperature)
+
+
+def temperature_for(n_th):
+    """The bath temperature at which each mirror holds n_th phonons."""
+    return HBAR * DEVICE.omega_m / (KB * math.log1p(1.0 / n_th))
+
+
+def lyapunov_triple(params):
+    mech = solve_lyapunov(system_matrices(derive(params))).mechanical_block
     return float(mech[0, 0]), float(mech[0, 1]), float(mech[0, 2])
 
 
@@ -63,23 +77,26 @@ class TestOverflow:
 
     def test_validation_grid_raises_config_error(self):
         with pytest.raises(ConfigError, match="too large"):
-            validate_closed_forms([GridPoint(32.11, 400.0, 0.2, 0.01, 1.7)])
+            validate_closed_forms([GridPoint(32.11, 400.0, 0.2, 0.01)])
 
 
 class TestCorrectedForm:
+    # (C, r, xi, gamma/kappa, n_th): T = 0, about 31 uK, 0.1 mK and 0.48 mK
     @pytest.mark.parametrize("point", [
-        GridPoint(32.11, 1.0, 0.2, 0.01, N_TH),
-        GridPoint(32.11, 2.5, 0.0, 0.01, N_TH),
-        GridPoint(32.11, 0.5, 0.35, 0.001, 0.0),
-        GridPoint(5.0, 1.5, 0.8, 0.05, 10.0),
-        GridPoint(0.0, 1.0, 0.2, 0.01, N_TH),
-        GridPoint(120.0, 3.0, 0.15, 0.02, 0.3),
+        (32.11, 1.0, 0.2, 0.01, N_TH),
+        (32.11, 2.5, 0.0, 0.01, N_TH),
+        (32.11, 0.5, 0.35, 0.001, 0.0),
+        (5.0, 1.5, 0.8, 0.05, 10.0),
+        (0.0, 1.0, 0.2, 0.01, N_TH),
+        (120.0, 3.0, 0.15, 0.02, 0.3),
     ])
     def test_matches_lyapunov(self, point):
-        s1, s12, s13 = lyapunov_triple(point)
-        out = closed_sigma_corrected(point.cooperativity, point.squeezing_r,
-                                     point.xi, point.gamma_over_kappa * KAPPA,
-                                     KAPPA, point.n_th)
+        c, r, xi, gok, n_th = point
+        params = device(c, r, xi, gok, temperature_for(n_th) if n_th else 0.0)
+        derived = derive(params)
+        assert derived.n_th == pytest.approx(n_th, rel=1e-12)
+        s1, s12, s13 = lyapunov_triple(params)
+        out = closed_sigma_corrected(c, r, xi, derived.gamma, derived.kappa, derived.n_th)
         assert out.sigma1 == pytest.approx(s1, rel=1e-10)
         assert out.sigma12 == pytest.approx(s12, rel=1e-10, abs=1e-12)
         assert out.sigma13 == pytest.approx(s13, rel=1e-10, abs=1e-12)
@@ -111,16 +128,14 @@ class TestVerbatimForm:
 
     def test_correlation_entries_exact_against_lyapunov(self):
         # sigma12 and sigma13 are exact as printed, in physical units
-        point = GridPoint(32.11, 1.0, 0.2, 0.01, N_TH)
-        _, s12, s13 = lyapunov_triple(point)
+        _, s12, s13 = lyapunov_triple(device(32.11, 1.0, 0.2, 0.01))
         out = closed_sigma(32.11, 1.0, 0.2, 0.01 * KAPPA, KAPPA, N_TH)
         assert out.sigma12 == pytest.approx(s12, rel=1e-10)
         assert out.sigma13 == pytest.approx(s13, rel=1e-10)
 
     def test_variance_entry_deviates_in_physical_units(self):
         # the kappa^2 cosh(2r) bracket term dominates for rad/s rates
-        point = GridPoint(32.11, 1.0, 0.2, 0.01, N_TH)
-        s1, _, _ = lyapunov_triple(point)
+        s1, _, _ = lyapunov_triple(device(32.11, 1.0, 0.2, 0.01))
         out = closed_sigma(32.11, 1.0, 0.2, 0.01 * KAPPA, KAPPA, N_TH)
         assert out.sigma1 / s1 > 1e3
 
@@ -153,8 +168,9 @@ class TestValidationReport:
         assert report.skipped_unstable == ()
 
     def test_one_stability_check_per_point(self, monkeypatch):
-        # gamma = 0 leaves the mirrors undamped: a marginal drift, skipped
-        undamped = GridPoint(1.0, 1.0, 0.2, 0.0, N_TH)
+        # undriven, the slowest rate is -gamma/2: at gamma = 1e-9 kappa the
+        # drift is marginal, and the point is skipped
+        undamped = GridPoint(0.0, 1.0, 0.2, 1e-9)
         grid = default_validation_grid() + [undamped]
         calls = []
         check = dynamics.check_stability
@@ -180,3 +196,16 @@ class TestValidationReport:
         assert len(body) == 1 + len(report.rows)
         first = body[1].split(",")
         assert len(first) == 14
+
+
+@pytest.mark.parametrize("point", [
+    GridPoint(1.0, 1.0, 0.2, 0.0),
+    GridPoint(1.0, 1.0, 0.2, -0.01),
+    GridPoint(-1.0, 1.0, 0.2, 0.01),
+    GridPoint(1.0, 1.0, math.nan, 0.01),
+    GridPoint(1.0, 1.0, -0.2, 0.01),
+], ids=["gamma_zero", "gamma_negative", "cooperativity_negative", "xi_nan", "xi_negative"])
+def test_invalid_point_raises_config_error(point):
+    # each point is the device's PhysicalParams, validated like any other
+    with pytest.raises(ConfigError, match=r"GridPoint\(cooperativity="):
+        validate_closed_forms([point])

@@ -9,6 +9,8 @@ from duomech import (
     load_config,
     parse_config,
     thermal_occupancy,
+    validate_closed_forms,
+    write_report_csv,
 )
 
 TWO_PI = 2 * math.pi
@@ -27,11 +29,15 @@ def test_example_config_parses(tmp_path):
     assert load_config(path) == p
 
 
-def test_example_bath_occupancy():
+def test_example_bath_occupancy(tmp_path):
     # the closed-form report's grid sits at this occupancy
     p = parse_config(EXAMPLE_CONFIG)
     assert thermal_occupancy(p.omega_m, p.temperature) == 1.7380208490312972
-    assert {point.n_th for point in default_validation_grid()} == {1.7380208490312972}
+    path = tmp_path / "report.csv"
+    write_report_csv(validate_closed_forms(default_validation_grid()), path)
+    body = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    column = body[0].split(",").index("n_th")
+    assert {line.split(",")[column] for line in body[1:]} == {"1.7380208490312972"}
 
 
 def test_rads_keys_taken_verbatim():

@@ -358,3 +358,17 @@ class TestComparison:
         header_idx = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_idx] == "i,j,exact,estimate,std_error,z,rel_dev"
         assert len(lines) - header_idx - 1 == 36
+
+    def test_csv_leaves_rel_dev_empty_at_exact_zeros(self, tmp_path):
+        # sigma has exact zeros (q1 with p2, among others): no relative scale
+        state = solve_lyapunov(system_matrices(derive(fast_params())))
+        mc = McEstimate(cov_estimate=state.full + 1e-3,
+                        std_error=np.full((8, 8), 1e-2), n_samples=10,
+                        config=SdeConfig(seed=3))
+        path = tmp_path / "mc.csv"
+        write_comparison_csv(compare_to_lyapunov(mc, state), mc, state, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        zeros = [row for row in rows if float(row[2]) == 0.0]
+        assert zeros and all(row[6] == "" for row in zeros)
+        assert all(row[6] != "" for row in rows if abs(float(row[2])) > 1e-3)

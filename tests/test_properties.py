@@ -2,7 +2,8 @@
 sampled point solves to a physical, exchange-symmetric mirror state whose
 residual is the one its definition gives, whose measures obey their ordering
 and whose variance matches the closed form; and the abstract's claims on
-temperature (everywhere) and strong coupling (not everywhere)."""
+temperature (everywhere), squeezing (everywhere without hopping) and strong
+coupling (not everywhere)."""
 
 import numpy as np
 import pytest
@@ -97,6 +98,39 @@ def test_correlations_fall_with_temperature(cooperativity, xi, gamma_over_kappa,
             for before, after in zip(previous, current):
                 assert after <= before + 1e-9 * abs(before) + 1e-12, (temperature, previous, current)
         assert report.log_negativity <= 0.0 or report.discord > 0.0, temperature
+        previous = current
+
+
+# 0 to 3, the property test's squeezing range
+SQUEEZINGS = np.linspace(0.0, 3.0, 25).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(
+    cooperativity=log_uniform(-3, 5),
+    gamma_over_kappa=log_uniform(-5, 0),
+    temperature=log_uniform(-6, -1),
+)
+def test_correlations_grow_with_squeezing_without_hopping(cooperativity, gamma_over_kappa,
+                                                         temperature):
+    # the abstract's squeezing claim along an r curve from each base point with
+    # xi = 0: no measure falls by more than a relative 1e-9 plus the measures'
+    # snap scale 1e-12 (with hopping the claim fails, see the README)
+    kappa = HELD.kappa
+    base = HELD.with_updates(
+        cooperativity=cooperativity, hopping_lambda=0.0,
+        gamma=gamma_over_kappa * kappa, temperature=temperature,
+    )
+    previous = None
+    for squeezing_r in SQUEEZINGS:
+        result = evaluate_point(base.with_updates(squeezing_r=squeezing_r))
+        assert result.stable
+        report = result.report
+        current = (report.log_negativity, report.steering_ab, report.steering_ba,
+                   report.discord)
+        if previous is not None:
+            for before, after in zip(previous, current):
+                assert after >= before - 1e-9 * abs(before) - 1e-12, (squeezing_r, previous, current)
         previous = current
 
 
