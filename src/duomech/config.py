@@ -24,6 +24,7 @@ There is no detuning key: the drive sits at the red sideband, -omega_m.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -45,6 +46,10 @@ _KEY_MAP["temperature_k"] = ("temperature", 1.0)
 _KEY_MAP["squeezing_r"] = ("squeezing_r", 1.0)
 _KEY_MAP["pump_power_w"] = ("pump_power", 1.0)
 _KEY_MAP["cooperativity"] = ("cooperativity", 1.0)
+
+# every PhysicalParams field without a default, in field order
+_REQUIRED = tuple(f.name for f in dataclasses.fields(PhysicalParams)
+                  if f.default is dataclasses.MISSING)
 
 EXAMPLE_CONFIG = """\
 # double-cavity optomechanical system, symmetric parameters
@@ -90,9 +95,7 @@ def parse_config(text: str) -> PhysicalParams:
         fields[field] = value * scale
         seen[field] = key
 
-    required = ("omega_m", "gamma", "kappa", "omega_c", "omega_l", "mass",
-                "cavity_length", "temperature", "squeezing_r", "hopping_lambda")
-    missing = [f for f in required if f not in fields]
+    missing = [f for f in _REQUIRED if f not in fields]
     if missing:
         raise ConfigError(f"missing required keys for: {', '.join(missing)}")
     return PhysicalParams(**fields)

@@ -1,6 +1,15 @@
 """Exception types shared across the package: each is a :class:`DuomechError`
 and keeps its ``ValueError`` or ``RuntimeError`` base."""
 
+__all__ = [
+    "DuomechError",
+    "ConfigError",
+    "StabilityError",
+    "PhysicalityError",
+    "UnsupportedBranchError",
+    "BracketError",
+]
+
 
 class DuomechError(Exception):
     """Base of every error the package raises on purpose."""

@@ -18,8 +18,8 @@ check's report, which refuses a drift that ``build_drift`` does not write,
 and refuses a gamma or kappa that is not finite and positive as a
 ``ConfigError``.  Time runs in units of 1/kappa
 internally; configuration durations are expressed in those units.  The
-generator is numpy's PCG64, seeded explicitly, and the algorithm name is
-carried in the estimate for reproducibility.
+generator is numpy's PCG64, seeded explicitly, and the comparison CSV
+names it for reproducibility.
 
 Each Euler step is the linear recursion u <- S u + xi, with S = I + W dt
 and xi = L z the noise increment.  The ensemble is stepped in blocks of n
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ class McEstimate:
     std_error: np.ndarray
     n_samples: int
     config: SdeConfig
-    rng_algorithm: str = field(default=RNG_ALGORITHM)
 
 
 def _noise_factor(noise: np.ndarray) -> np.ndarray:
@@ -330,7 +329,7 @@ def write_comparison_csv(comparison: McComparison, mc: McEstimate,
     cfg = mc.config
     dim = exact.full.shape[0]
     _write_table(path, [
-        f"rng={mc.rng_algorithm} seed={cfg.seed}",
+        f"rng={RNG_ALGORITHM} seed={cfg.seed}",
         f"dt={cfg.dt:.17g} n_trajectories={cfg.n_trajectories} n_samples={mc.n_samples}",
         f"passed={str(comparison.passed).lower()} max_abs_z={comparison.max_abs_z:.17g} "
         f"n_unique_above_3se={comparison.n_unique_above_3se}",

@@ -28,7 +28,14 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-SWEEP_VARIABLES = ("r", "xi", "T", "gamma_over_kappa")
+# sweep variable -> (the PhysicalParams field it sets, value in units of kappa)
+_SWEEP_FIELDS = {
+    "r": ("squeezing_r", False),
+    "xi": ("hopping_lambda", True),
+    "T": ("temperature", False),
+    "gamma_over_kappa": ("gamma", True),
+}
+SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,8 @@ class SweepSpec:
             )
         grid = self.grid()
         values = [(self.variable, grid[0]), (self.variable, grid[-1])]
+        if self.curve_values and self.curve_variable is None:
+            raise ConfigError("curve_values are set but curve_variable is not")
         if self.curve_variable is not None:
             if self.curve_variable not in SWEEP_VARIABLES:
                 raise ConfigError(f"unknown curve variable {self.curve_variable!r}")
@@ -85,15 +94,11 @@ class SweepSpec:
 
 
 def _apply(params: PhysicalParams, variable: str, value: float) -> PhysicalParams:
-    if variable == "r":
-        return params.with_updates(squeezing_r=value)
-    if variable == "xi":
-        return params.with_updates(hopping_lambda=value * params.kappa)
-    if variable == "T":
-        return params.with_updates(temperature=value)
-    if variable == "gamma_over_kappa":
-        return params.with_updates(gamma=value * params.kappa)
-    raise ConfigError(f"unknown sweep variable {variable!r}")
+    try:
+        field, per_kappa = _SWEEP_FIELDS[variable]
+    except KeyError:
+        raise ConfigError(f"unknown sweep variable {variable!r}") from None
+    return params.with_updates(**{field: value * params.kappa if per_kappa else value})
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,17 @@ def test_package_exports_resolve_once():
         assert hasattr(duomech, name), name
 
 
+def test_package_exports_every_runtime_module():
+    # each name is declared once, in its module's __all__; the package joins
+    # them, all but the command line's
+    modules = [importlib.import_module(f"duomech.{module}") for module in MODULES]
+    assert all(hasattr(module, "__all__") for module in modules)
+    joined = [name for module in modules if module.__name__ != "duomech.cli"
+              for name in module.__all__]
+    assert sorted(duomech.__all__) == sorted(joined)
+    assert len(joined) == len(set(joined))
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_exports_resolve(module):
     mod = importlib.import_module(f"duomech.{module}")
@@ -44,11 +55,12 @@ def test_every_error_is_a_duomech_error_and_keeps_its_base():
 
 def test_runtime_imports_numpy_only(tmp_path):
     # a point and a short CLI sweep, in a fresh interpreter, import none of
-    # the test and reference tools
+    # the test and reference tools, and the package alone not the command line
     (tmp_path / "system.cfg").write_text(duomech.EXAMPLE_CONFIG)
     script = (
         "import sys\n"
         "from duomech import evaluate_point, figure_preset\n"
+        "print(sorted({'duomech.cli', 'argparse'} & set(sys.modules)))\n"
         "from duomech.cli import main\n"
         "evaluate_point(figure_preset('fig3').held)\n"
         "assert main(['--config', 'system.cfg', '--sweep', 'r=0:1:3',\n"
@@ -62,5 +74,7 @@ def test_runtime_imports_numpy_only(tmp_path):
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    imported = set(ast.literal_eval(result.stdout.splitlines()[-1]))
+    lines = result.stdout.splitlines()
+    assert ast.literal_eval(lines[0]) == []
+    imported = set(ast.literal_eval(lines[-1]))
     assert not imported & {"scipy", "hypothesis", "mpmath", "pytest"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from duomech import (
+    GridPoint,
     closed_sigma,
     closed_sigma_corrected,
     default_validation_grid,
@@ -11,7 +12,6 @@ from duomech import (
     write_report_csv,
 )
 from duomech import EXAMPLE_CONFIG, HBAR, KB, derive, dynamics, parse_config
-from duomech.closedform import GridPoint
 from duomech.dynamics import solve_lyapunov, system_matrices
 from duomech.errors import ConfigError
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import reference_params
 from duomech import dynamics
 from duomech import (
     PhysicalityError,
-    PhysicalParams,
     StabilityError,
     SystemMatrices,
     TwoModeCovariance,
@@ -31,17 +31,6 @@ GAMMA = TWO_PI * 140.0
 FIG3_SIGMA1 = 1.8969207660395373
 FIG3_SIGMA12 = 0.6141997172192335
 FIG3_SIGMA13 = 1.497746351754473
-
-
-def reference_params(**overrides) -> PhysicalParams:
-    base = dict(
-        omega_m=TWO_PI * 947e3, gamma=GAMMA, mass=145e-12, cavity_length=25e-3,
-        omega_c=TWO_PI * 5.26e14, omega_l=TWO_PI * 2.82e14, kappa=KAPPA,
-        temperature=1e-4, squeezing_r=1.0, hopping_lambda=0.2 * KAPPA,
-        cooperativity=32.11,
-    )
-    base.update(overrides)
-    return PhysicalParams(**base)
 
 
 def hand_built_drift(coupling, gamma, kappa, lam):

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import reference_params
 from duomech import (
     ConfigError,
     McEstimate,
     PhysicalityError,
-    PhysicalParams,
     SdeConfig,
     StabilityError,
     SystemMatrices,
@@ -26,17 +26,6 @@ from duomech import dynamics, montecarlo
 
 TWO_PI = 2 * math.pi
 KAPPA = TWO_PI * 14000.0
-
-
-def reference_params(**overrides) -> PhysicalParams:
-    base = dict(
-        omega_m=TWO_PI * 947e3, gamma=TWO_PI * 140.0, mass=145e-12,
-        cavity_length=25e-3, omega_c=TWO_PI * 5.26e14, omega_l=TWO_PI * 2.82e14,
-        kappa=KAPPA, temperature=1e-4, squeezing_r=1.0,
-        hopping_lambda=0.2 * KAPPA, cooperativity=32.11,
-    )
-    base.update(overrides)
-    return PhysicalParams(**base)
 
 
 # fast-relaxing configuration for statistical tests (gamma/kappa = 0.05)
@@ -144,7 +133,6 @@ class TestIntegration:
         assert np.array_equal(a.cov_estimate, b.cov_estimate)
         assert np.array_equal(a.std_error, b.std_error)
         assert a.n_samples == b.n_samples
-        assert a.rng_algorithm == "PCG64"
 
     def test_block_boundary_does_not_matter(self, monkeypatch):
         # the random stream is the same however the steps are blocked: one

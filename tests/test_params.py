@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import reference_params
 from duomech import (
     ConfigError,
     PhysicalParams,
@@ -16,24 +17,6 @@ from duomech import (
 
 TWO_PI = 2 * math.pi
 OMEGA_M = TWO_PI * 947e3
-
-
-def reference_params(**overrides) -> PhysicalParams:
-    base = dict(
-        omega_m=OMEGA_M,
-        gamma=TWO_PI * 140.0,
-        mass=145e-12,
-        cavity_length=25e-3,
-        omega_c=TWO_PI * 5.26e14,
-        omega_l=TWO_PI * 2.82e14,
-        kappa=TWO_PI * 14000.0,
-        temperature=1e-4,
-        squeezing_r=1.0,
-        hopping_lambda=0.2 * TWO_PI * 14000.0,
-        cooperativity=32.11,
-    )
-    base.update(overrides)
-    return PhysicalParams(**base)
 
 
 class TestThermalOccupancy:

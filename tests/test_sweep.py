@@ -105,6 +105,15 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="non-empty"):
             SweepSpec("r", 0.0, 1.0, 5, held, curve_variable="xi")
 
+    def test_curve_values_need_a_curve_variable(self, monkeypatch):
+        # refused before any point runs, not swept as a single curve
+        calls = []
+        monkeypatch.setattr(sweep, "evaluate_point", calls.append)
+        held = figure_preset("fig2").held
+        with pytest.raises(ConfigError, match="curve_variable"):
+            run_sweep(SweepSpec("r", 0.0, 1.0, 2, held, curve_values=(0.1, 0.2)))
+        assert calls == []
+
     def test_grid_endpoints(self):
         held = figure_preset("fig2").held
         spec = SweepSpec("r", 0.0, 3.0, 4, held)
