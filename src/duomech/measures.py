@@ -9,12 +9,16 @@ nats).  The states produced by this package are exchange symmetric (B = X,
 Z = diag(z, -z)); the steering and log-negativity routines accept general
 physical two-mode covariances, the discord routine is restricted to the
 det Z <= 0, B = X branch its closed form covers and refuses anything else.
+The symplectic eigenvalues of sigma come from the same determinants, once
+per covariance; :func:`symplectic_spectrum`, the general n-mode route through
+the eigenvalues of i Omega sigma, stays as the independent reference the
+tests compare them with.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,16 +46,6 @@ _MAX_ROUNDING = 1e-7  # largest relative rounding of the spectrum, see below
 
 
 _J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-_I_OMEGA_TWO_MODE = 1j * np.kron(np.eye(2), _J)   # i Omega of two modes
-
-
-def _spectrum(cov: np.ndarray, i_omega: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of ``cov``, ascending, as the moduli of the
-    eigenvalues of i Omega sigma; each appears twice in that spectrum, so
-    every other one of the sorted moduli is kept."""
-    moduli = abs(np.linalg.eigvals(i_omega @ cov))
-    moduli.sort()
-    return moduli[::2]
 
 
 def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
@@ -65,23 +59,24 @@ def symplectic_spectrum(cov: np.ndarray) -> np.ndarray:
     n2 = cov.shape[0]
     if cov.ndim != 2 or cov.shape[1] != n2 or n2 % 2:
         raise ValueError(f"covariance must be square with even size, got {cov.shape}")
-    if n2 == 4:
-        return _spectrum(cov, _I_OMEGA_TWO_MODE)
-    return _spectrum(cov, 1j * np.kron(np.eye(n2 // 2), _J))
+    moduli = abs(np.linalg.eigvals(1j * np.kron(np.eye(n2 // 2), _J) @ cov))
+    moduli.sort()
+    return moduli[::2]
 
 
 @dataclass(frozen=True)
 class TwoModeCovariance:
     """4x4 two-mode covariance in (q_A, Y_A, q_B, Y_B) order with cached
-    block determinants and symplectic spectrum.
+    block determinants and symplectic eigenvalues.
 
-    ``spectrum`` is :func:`symplectic_spectrum` of ``matrix``, computed once
-    in :meth:`from_matrix`.  This is the one place a covariance is
-    validated: a spectrum below the vacuum bound, overflowing block
-    determinants, det sigma <= 0, a det sigma lost to rounding
-    (eps det_scale > 1e-7 sqrt(det sigma)) or a matrix that is not positive
-    definite raise :class:`PhysicalityError` however the object is built,
-    and the measures do not repeat these gates.
+    ``theta_plus`` and ``theta_minus`` are the symplectic eigenvalues of
+    ``matrix`` from its block determinants (:func:`symplectic_eigenvalues`),
+    computed once on construction.  This is the one place a covariance is
+    validated: overflowing block determinants, det sigma <= 0, a det sigma
+    lost to rounding (eps det_scale > 1e-7 sqrt(det sigma)), a matrix that is
+    not positive definite or a symplectic eigenvalue below the vacuum bound
+    raise :class:`PhysicalityError` however the object is built, and the
+    measures do not repeat these gates.
     """
 
     matrix: np.ndarray
@@ -90,14 +85,10 @@ class TwoModeCovariance:
     det_z: float
     det_full: float
     det_scale: float     # |det X| + |det B| + 2 |det Z|, see _disc_band
-    spectrum: np.ndarray
+    theta_plus: float = field(init=False)
+    theta_minus: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.spectrum[0] < VACUUM_VARIANCE - _PHYS_TOL:
-            raise PhysicalityError(
-                f"unphysical covariance: min symplectic eigenvalue "
-                f"{self.spectrum[0]!r} < 1/2"
-            )
         # the measures square delta = det X + det B +- 2 det Z and form
         # 4 det sigma; for a physical state both are bounded by det_scale^2
         if not (math.isfinite(self.det_scale * self.det_scale)
@@ -128,6 +119,16 @@ class TwoModeCovariance:
                 f"covariance not positive definite: leading minors "
                 f"{x11!r}, {self.det_x!r}, {minor3!r}"
             )
+        # a positive definite sigma has real symplectic eigenvalues
+        # (Williamson's theorem), so the closed form covers it
+        theta_plus, theta_minus = _eigenvalue_pair(
+            self.det_x + self.det_b + 2.0 * self.det_z, self)
+        if theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
+            raise PhysicalityError(
+                f"unphysical covariance: min symplectic eigenvalue {theta_minus!r} < 1/2"
+            )
+        object.__setattr__(self, "theta_plus", theta_plus)
+        object.__setattr__(self, "theta_minus", theta_minus)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
@@ -148,25 +149,21 @@ class TwoModeCovariance:
                 raise PhysicalityError("zero covariance matrix is unphysical")
             if abs(m - m.T).max() > 1e-10 * scale:
                 raise PhysicalityError("covariance matrix must be symmetric")
-            m = 0.5 * (m + m.T)
+            m = 0.5 * m + 0.5 * m.T   # halved first: no overflow near the float maximum
             (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
                 m.tolist()
             )
         det_x = x11 * x22 - x12 * x21
         det_b = b11 * b22 - b12 * b21
         det_z = z11 * z22 - z12 * z21
-        # eigvals refuses a NaN or an infinite entry; the symmetrization
-        # overflows entries above about 9e307
-        try:
-            spectrum = _spectrum(m, _I_OMEGA_TWO_MODE)
-        except np.linalg.LinAlgError as exc:
-            raise PhysicalityError(
-                f"covariance matrix has a NaN or overflowing entry: {exc}"
-            ) from exc
-        return cls(matrix=m, spectrum=spectrum,
-                   det_x=det_x, det_b=det_b, det_z=det_z,
-                   det_full=float(np.linalg.det(m)),
-                   det_scale=abs(det_x) + abs(det_b) + 2.0 * abs(det_z))
+        det_scale = abs(det_x) + abs(det_b) + 2.0 * abs(det_z)
+        # every entry of the symmetric m lies in X, Z or B, so a NaN or an
+        # infinite one makes det_scale non-finite; refused before det, which
+        # would warn on it
+        if not math.isfinite(det_scale) and not np.isfinite(m).all():
+            raise PhysicalityError("covariance matrix is not finite: it has a NaN or infinite entry")
+        return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
+                   det_full=float(np.linalg.det(m)), det_scale=det_scale)
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:
@@ -204,18 +201,18 @@ def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
     )
 
 
-def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float, float]:
-    """(plus, minus, band): plus, minus = sqrt[(delta +- sqrt(disc)) / 2]
-    with disc = delta^2 - 4 det sigma and ``band`` its :func:`_disc_band`.
-    minus is taken as sqrt(det sigma / plus^2), and both as det sigma ** 1/4
-    at degeneracy: delta - sqrt(disc), and there delta itself, lose digits.
+def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float]:
+    """(plus, minus) = sqrt[(delta +- sqrt(disc)) / 2] with
+    disc = delta^2 - 4 det sigma.  minus is taken as sqrt(det sigma / plus^2),
+    and both as det sigma ** 1/4 at degeneracy: delta - sqrt(disc), and there
+    delta itself, lose digits.
 
     States produced by this system have exactly degenerate symplectic
     spectra (delta^2 = 4 det sigma), so the cancellation leaves the
     discriminant straddling zero at roundoff level; the square root would
     amplify that into a spurious eigenvalue split.  Values inside the
-    cancellation band snap to exact degeneracy; values negative beyond it
-    mean a genuinely complex eigenvalue and are refused.
+    cancellation band (:func:`_disc_band`) snap to exact degeneracy; values
+    negative beyond it mean a genuinely complex eigenvalue and are refused.
     """
     disc = delta * delta - 4.0 * c.det_full
     band = _disc_band(delta, c.det_full, c.det_scale)
@@ -225,33 +222,21 @@ def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float, 
         )
     if disc < band:
         both = c.det_full ** 0.25
-        return both, both, band
+        return both, both
     plus_sq = (delta + math.sqrt(disc)) / 2.0
-    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq), band
+    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq)
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     """(theta_plus, theta_minus) of a two-mode covariance from the block
-    determinants, cross-validated against the i*Omega*sigma spectrum that
-    :class:`TwoModeCovariance` keeps.
+    determinants, as :class:`TwoModeCovariance` caches them.
 
     theta_pm = sqrt[(Delta' +- sqrt(Delta'^2 - 4 det sigma)) / 2] with
     Delta' = det X + det B + 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
+    The tests compare it with the general :func:`symplectic_spectrum`.
     """
     c = _as_cov(cov)
-    theta_plus, theta_minus, band = _eigenvalue_pair(c.det_x + c.det_b + 2.0 * c.det_z, c)
-
-    ref_minus, ref_plus = c.spectrum.tolist()
-    # Near spectral degeneracy neither route can resolve the split below the
-    # discriminant roundoff band; widen the consistency tolerance accordingly.
-    split_limit = math.sqrt(band) / (4.0 * max(theta_minus, 0.25))
-    tol = 1e-9 * max(1.0, theta_plus) + split_limit
-    if abs(theta_minus - ref_minus) > tol or abs(theta_plus - ref_plus) > tol:
-        raise PhysicalityError(
-            "symplectic eigenvalue formula disagrees with the i*Omega*sigma "
-            f"spectrum: ({theta_plus!r}, {theta_minus!r}) vs ({ref_plus!r}, {ref_minus!r})"
-        )
-    return theta_plus, theta_minus
+    return c.theta_plus, c.theta_minus
 
 
 def gaussian_steering(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
@@ -277,7 +262,7 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
-    _, nu_minus, _ = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
+    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
     if nu_minus <= 0.0:
         raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus
@@ -295,12 +280,6 @@ def gaussian_discord(cov: TwoModeCovariance | np.ndarray) -> float:
     return a silently wrong value.
     """
     c = _as_cov(cov)
-    return _discord(c, *symplectic_eigenvalues(c))
-
-
-def _discord(c: TwoModeCovariance, theta_plus: float, theta_minus: float) -> float:
-    """:func:`gaussian_discord` of ``c`` given its symplectic eigenvalues;
-    refuses a covariance off the branch its closed form covers."""
     scale = max(abs(c.det_x), abs(c.det_b), 1e-300)
     if c.det_z > _SNAP * scale:
         raise UnsupportedBranchError(
@@ -316,8 +295,8 @@ def _discord(c: TwoModeCovariance, theta_plus: float, theta_minus: float) -> flo
     delta = (sqrt_det_x + 2.0 * c.det_x + 2.0 * c.det_z) / (1.0 + 2.0 * sqrt_det_x)
     d = (
         f_function(sqrt_det_x)
-        - f_function(theta_plus)
-        - f_function(theta_minus)
+        - f_function(c.theta_plus)
+        - f_function(c.theta_minus)
         + f_function(delta)
     )
     return _snap_floor(d)
@@ -349,27 +328,28 @@ def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport
     c = _as_cov(cov)
     s_ab, s_ba = gaussian_steering(c)
     en, nu_minus = log_negativity(c)
-    theta_plus, theta_minus = symplectic_eigenvalues(c)
     return CorrelationReport(
         steering_ab=s_ab,
         steering_ba=s_ba,
         log_negativity=en,
-        discord=_discord(c, theta_plus, theta_minus),
+        discord=gaussian_discord(c),
         nu_minus=nu_minus,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
+        theta_plus=c.theta_plus,
+        theta_minus=c.theta_minus,
     )
 
 
 def thermal_state(n_mean: float) -> np.ndarray:
     """Two-mode product thermal covariance (n + 1/2) I4."""
-    if n_mean < 0.0:
-        raise ValueError(f"mean occupation must be >= 0, got {n_mean!r}")
+    if not (math.isfinite(n_mean) and n_mean >= 0.0):
+        raise ValueError(f"mean occupation must be finite and >= 0, got {n_mean!r}")
     return (n_mean + VACUUM_VARIANCE) * np.eye(4)
 
 
 def two_mode_squeezed_state(s: float) -> np.ndarray:
     """Pure two-mode squeezed vacuum covariance with squeezing ``s``."""
+    if not math.isfinite(s):
+        raise ValueError(f"squeezing must be finite, got {s!r}")
     ch = 0.5 * math.cosh(2.0 * s)
     sh = 0.5 * math.sinh(2.0 * s)
     return np.array(

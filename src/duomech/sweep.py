@@ -5,6 +5,7 @@ a bisection finder for the hopping strength at which entanglement dies."""
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -52,6 +53,18 @@ class SweepSpec:
     curve_values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.curve_values, (tuple, list)):
+            raise ConfigError(
+                f"curve_values must be a tuple or a list, got {self.curve_values!r}"
+            )
+        typed = [("num", self.num, numbers.Integral), ("start", self.start, numbers.Real),
+                 ("stop", self.stop, numbers.Real)]
+        typed += [("curve value", value, numbers.Real) for value in self.curve_values]
+        for name, value, kind in typed:
+            # a bool is a number to Python, but num=True is no point count
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{name} must be {noun}, got {value!r}")
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.variable!r}; "

@@ -303,7 +303,7 @@ def test_unsupported_branch_in_find_critical_xi_exits_2(capsys, monkeypatch):
     def off_branch(*args):
         raise errors.UnsupportedBranchError("off the discord's branch")
 
-    monkeypatch.setattr(measures, "_discord", off_branch)
+    monkeypatch.setattr(measures, "gaussian_discord", off_branch)
     code = main(["--figure", "fig4", "--find-critical-xi", "0:1"])
     assert code == 2
     err = capsys.readouterr().err

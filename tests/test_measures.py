@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import assert_theta_matches_spectrum, reference_params
 from duomech import measures
 from duomech import (
     EXAMPLE_CONFIG,
     PhysicalityError,
-    SweepSpec,
     TwoModeCovariance,
     UnsupportedBranchError,
     correlation_report,
@@ -20,12 +20,13 @@ from duomech import (
     gaussian_steering,
     log_negativity,
     parse_config,
-    run_sweep,
     symplectic_eigenvalues,
     symplectic_spectrum,
     thermal_state,
     two_mode_squeezed_state,
 )
+
+KAPPA = reference_params().kappa
 
 # frozen by direct evaluation of the entropy-kernel combination
 TMSV_DISCORD = {0.5: 0.6594529591680367, 1.0: 1.6198220928977025,
@@ -75,6 +76,19 @@ class TestSymplecticSpectrum:
             symplectic_spectrum(np.eye(3))
 
 
+@pytest.mark.parametrize("build, arg", [
+    (thermal_state, -0.1),
+    (thermal_state, math.nan),
+    (thermal_state, math.inf),
+    (two_mode_squeezed_state, math.nan),
+    (two_mode_squeezed_state, math.inf),
+    (two_mode_squeezed_state, -math.inf),
+])
+def test_reference_state_refuses_its_argument(build, arg):
+    with pytest.raises(ValueError, match="must be finite"):
+        build(arg)
+
+
 class TestSymplecticEigenvalues:
     @pytest.mark.parametrize("cov,expected", [
         (0.5 * np.eye(4), (0.5, 0.5)),
@@ -94,19 +108,18 @@ class TestSymplecticEigenvalues:
             assert abs(tm - ref[0]) < 1e-9
             assert abs(tp - ref[1]) < 1e-9
 
-
-    def test_disagreement_is_a_physicality_error(self, monkeypatch):
-        # a spectrum that the block-determinant formula does not reproduce
-        original = measures._spectrum
-        monkeypatch.setattr(measures, "_spectrum",
-                            lambda cov, i_omega: original(cov, i_omega) * (1.0 + 1e-4))
-        cov = TwoModeCovariance.from_matrix(thermal_state(2.0))
-        with pytest.raises(PhysicalityError, match="disagrees"):
-            symplectic_eigenvalues(cov)
-        held = figure_preset("fig2").held
-        rows = run_sweep(SweepSpec("r", 0.5, 1.0, 2, held))
-        assert [row.stable for row in rows] == [False, False]
-        assert all(row.log_negativity is None and row.xi is None for row in rows)
+    @pytest.mark.parametrize("params", [
+        figure_preset("fig2").held.with_updates(squeezing_r=8.0),
+        reference_params(cooperativity=1.3e-3, hopping_lambda=9.9 * KAPPA, temperature=2.5e-3),
+        reference_params(gamma=1e-5 * KAPPA),
+        reference_params(squeezing_r=15.0),
+    ], ids=["fig2-r8", "weak-coupling-strong-hopping", "gamma-1e-5-kappa", "r15"])
+    def test_pipeline_points_match_spectrum(self, params):
+        # extreme points of the sweep path: at fig2's r = 8 the two routes
+        # differ by 1.8e-9 relative (1.1e-6 at theta = 616), inside the
+        # discriminant band but not inside a bare 1e-9 relative bound
+        result = evaluate_point(params)
+        assert_theta_matches_spectrum(result.report, result.state.mechanical_block)
 
 
 class TestSteering:
@@ -186,13 +199,17 @@ class TestTwoModeCovariance:
         cov = TwoModeCovariance.from_matrix(m)
         assert np.array_equal(cov.matrix, 0.5 * (m + m.T))
 
-    @pytest.mark.parametrize("m", [
-        np.full((4, 4), np.nan),
-        1e308 * np.eye(4),                        # block determinants overflow
-        1e308 * np.eye(4) + np.eye(4, k=1),       # symmetrization overflows
-    ], ids=["nan", "huge", "huge-asymmetric"])
-    def test_nan_or_overflowing_input_is_a_physicality_error(self, m):
-        with np.errstate(all="ignore"), pytest.raises(PhysicalityError):
+    @pytest.mark.parametrize("m, match", [
+        (np.full((4, 4), np.nan), "not finite"),
+        (np.diag([1.0, np.nan, 1.0, 1.0]), "not finite"),   # exactly symmetric
+        (np.diag([1.0, 1.0, 1.0, np.inf]), "not finite"),
+        (1e308 * np.eye(4), "overflow"),                     # block determinants overflow
+        (1e308 * np.eye(4) + np.eye(4, k=1), "overflow"),    # symmetrized, then too large
+    ], ids=["nan", "nan-diagonal", "inf-diagonal", "huge", "huge-asymmetric"])
+    def test_nan_or_overflowing_input_is_a_physicality_error(self, m, match):
+        # only overflow is ignored: a non-finite entry is refused before det,
+        # so an invalid-value warning from det would fail the test
+        with np.errstate(over="ignore"), pytest.raises(PhysicalityError, match=match):
             TwoModeCovariance.from_matrix(m)
 
     def test_rejects_non_positive_determinant(self, monkeypatch):
@@ -220,7 +237,7 @@ class TestTwoModeCovariance:
         ("det_full", 0.0, "non-positive covariance determinant"),
         ("det_full", math.inf, "overflow"),
         ("det_full", 1e-20, "lost to rounding"),
-        ("spectrum", np.array([0.3, 0.3]), "symplectic"),
+        ("det_full", 0.01, "unphysical covariance: min symplectic eigenvalue 0.0471"),
         ("matrix", -thermal_state(1.0), "not positive definite"),
     ])
     def test_gates_hold_however_the_object_is_built(self, field, value, match):
@@ -245,8 +262,8 @@ class TestCorrelationReport:
         assert rep.theta_minus == pytest.approx(0.5, abs=1e-9)
 
     def test_one_discriminant_band_per_eigenvalue_pair(self, monkeypatch):
-        # one band for the partial-transpose pair, one for theta_pm (which the
-        # spectrum cross-check reuses)
+        # one band for the partial-transpose pair, one for theta_pm (computed
+        # once, on construction)
         calls = []
         band = measures._disc_band
 

@@ -1,7 +1,8 @@
 """Property tests of the pipeline over the physical parameter space: every
 sampled point solves to a physical, exchange-symmetric mirror state whose
-residual is the one its definition gives, whose measures obey their ordering
-and whose variance matches the closed form; and the abstract's claims on
+residual is the one its definition gives, whose symplectic eigenvalues agree
+with the i Omega sigma route, whose measures obey their ordering and whose
+variance matches the closed form; and the abstract's claims on
 temperature (everywhere), squeezing (everywhere without hopping) and strong
 coupling (not everywhere)."""
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_theta_matches_spectrum
 from duomech import (
     build_drift,
     build_noise,
@@ -55,6 +57,7 @@ def test_pipeline_invariants(cooperativity, xi, gamma_over_kappa, temperature, s
     assert symplectic_spectrum(state.full)[0] >= 0.5 - 1e-9
 
     mech = state.mechanical_block
+    assert_theta_matches_spectrum(report, mech)
     x, z, b = mech[:2, :2], mech[:2, 2:], mech[2:, 2:]
     assert (b == x).all()
     assert z[0, 1] == 0.0 and z[1, 0] == 0.0 and z[1, 1] == -z[0, 0]

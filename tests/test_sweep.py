@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestReferencePoint:
         assert rep.theta_plus == rep.theta_minus  # exactly degenerate spectrum
         assert rep.theta_plus == pytest.approx(0.9888493140494736, rel=1e-9)
 
-    def test_each_spectrum_computed_once(self, monkeypatch):
+    def test_no_eigvals_on_the_point_path(self, monkeypatch):
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -56,9 +57,9 @@ class TestReferencePoint:
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         evaluate_point(figure_preset("fig3").held)
-        # the drift's stability check takes its 2x2 sector route, so only
-        # the mirror block's i Omega sigma spectrum reaches eigvals
-        assert shapes == [(4, 4)]
+        # the drift's stability check takes its 2x2 sector route, and the
+        # mirror block's symplectic eigenvalues come from its determinants
+        assert shapes == []
 
     @pytest.mark.parametrize("r_sq", [100.0, 180.0])
     def test_overflowing_mirror_block_is_a_physicality_error(self, r_sq):
@@ -113,6 +114,20 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="curve_variable"):
             run_sweep(SweepSpec("r", 0.0, 1.0, 2, held, curve_values=(0.1, 0.2)))
         assert calls == []
+
+    @pytest.mark.parametrize("changes, name, value", [
+        (dict(num=3.0), "num", 3.0),
+        (dict(num="3"), "num", "3"),
+        (dict(stop="1"), "stop", "1"),
+        (dict(curve_values=0.1), "curve_values", 0.1),
+        (dict(curve_values="0.1"), "curve_values", "0.1"),
+    ])
+    def test_wrongly_typed_field_is_a_config_error(self, changes, name, value):
+        fields = dict(variable="r", start=0.0, stop=1.0, num=3,
+                      held=figure_preset("fig2").held, curve_variable="xi",
+                      curve_values=(0.1,))
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
+            SweepSpec(**{**fields, **changes})
 
     def test_grid_endpoints(self):
         held = figure_preset("fig2").held
