@@ -119,11 +119,27 @@ class TwoModeCovariance:
                 f"covariance not positive definite: leading minors "
                 f"{x11!r}, {self.det_x!r}, {minor3!r}"
             )
-        # a positive definite sigma has real symplectic eigenvalues
-        # (Williamson's theorem), so the closed form covers it
-        theta_plus, theta_minus = _eigenvalue_pair(
-            self.det_x + self.det_b + 2.0 * self.det_z, self)
-        if theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
+        # theta_plus^2 and theta_minus^2 are the roots of
+        # t^2 - delta t + det sigma, real for a positive definite sigma
+        # (Williamson's theorem), so theta_minus >= v exactly when
+        # det sigma >= v^4 and v^2 delta <= det sigma + v^4.  The gate tests
+        # these with v = 1/2 - _PHYS_TOL before it reads theta_minus:
+        # _eigenvalue_pair snaps a discriminant inside its band to
+        # degeneracy, and that band can hide theta_minus < 1/2.  A positive
+        # excess refuses the state unless 8 times its first-order rounding
+        # (_gate_rounding, computed only then) explains it; a state the
+        # rounding lets through must still report theta_minus >= v.
+        delta = self.det_x + self.det_b + 2.0 * self.det_z
+        v2 = (VACUUM_VARIANCE - _PHYS_TOL) ** 2
+        excess = max(v2 * delta - self.det_full - v2 * v2, v2 * v2 - self.det_full)
+        refused = not delta > 0.0 or (   # delta = theta_plus^2 + theta_minus^2
+            excess > 0.0 and excess > 8.0 * _gate_rounding(self.matrix, self.det_full))
+        if refused:   # theta_minus unsnapped, for the message: sqrt(det sigma) / theta_plus
+            den = delta + math.sqrt(max(delta * delta - 4.0 * self.det_full, 0.0))
+            theta_minus = math.sqrt(2.0 * self.det_full / den) if den > 0.0 else math.nan
+        else:
+            theta_plus, theta_minus = _eigenvalue_pair(delta, self)
+        if refused or theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
             raise PhysicalityError(
                 f"unphysical covariance: min symplectic eigenvalue {theta_minus!r} < 1/2"
             )
@@ -149,7 +165,7 @@ class TwoModeCovariance:
                 raise PhysicalityError("zero covariance matrix is unphysical")
             if abs(m - m.T).max() > 1e-10 * scale:
                 raise PhysicalityError("covariance matrix must be symmetric")
-            m = 0.5 * m + 0.5 * m.T   # halved first: no overflow near the float maximum
+            m = 0.5 * (m + m.T)
             (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
                 m.tolist()
             )
@@ -164,6 +180,21 @@ class TwoModeCovariance:
             raise PhysicalityError("covariance matrix is not finite: it has a NaN or infinite entry")
         return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
                    det_full=float(np.linalg.det(m)), det_scale=det_scale)
+
+
+def _gate_rounding(m: np.ndarray, det_full: float) -> float:
+    """First-order rounding of the physicality gate's v^2 delta - det sigma
+    - v^4: eps times the products the block determinants cancel from (a
+    quarter of them, the weight v^2 of delta), plus eps times
+    sum |adj(sigma)_ji sigma_ij|, the rounding of np.linalg.det."""
+    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = m.tolist()
+    products = (abs(x11 * x22) + abs(x12 * x21) + abs(b11 * b22) + abs(b12 * b21)
+                + 2.0 * (abs(z11 * z22) + abs(z12 * z21)))
+    try:
+        adjugate = det_full * np.linalg.inv(m)
+    except np.linalg.LinAlgError:   # a singular matrix built with det sigma > 0: no slack
+        return 0.0
+    return _EPS * (0.25 * products + float(np.vdot(abs(adjugate), abs(m.T))))
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:

@@ -183,6 +183,71 @@ class TestTwoModeCovariance:
         with pytest.raises(PhysicalityError, match="symplectic"):
             TwoModeCovariance.from_matrix(0.3 * np.eye(4))
 
+    @pytest.mark.parametrize("theta_minus, shown", [(0.4, "0.4000"), (0.5 - 1e-6, "0.49999")])
+    def test_rejects_unphysical_state_with_large_blocks(self, theta_minus, shown):
+        # X = a I, B = b I, Z = diag(c, -c) with theta_pm = (10, theta_minus):
+        # delta is small against det_scale, so the discriminant falls inside
+        # the band of _eigenvalue_pair, which snaps theta_pm to about (2, 2);
+        # the gate must not read the snapped pair.  At 1/2 - 1e-6 the
+        # excess is below eps |sigma|_F^2 delta, a rounding allowance that
+        # would hold for any sigma; the state's own first-order rounding is
+        # smaller and refuses it
+        a = 1e4
+        b = a + 10.0 - theta_minus
+        c = math.sqrt(a * b - 10.0 * theta_minus)
+        m = np.block([[a * np.eye(2), np.diag([c, -c])], [np.diag([c, -c]), b * np.eye(2)]])
+        assert symplectic_spectrum(m) == pytest.approx([theta_minus, 10.0], rel=1e-6)
+        with pytest.raises(PhysicalityError, match=f"min symplectic eigenvalue {shown}"):
+            TwoModeCovariance.from_matrix(m)
+
+    @pytest.mark.parametrize("hot", [1.0, 1e6])
+    @pytest.mark.parametrize("below, refused", [(1e-3, True), (2e-9, True), (5e-10, False)])
+    def test_gate_is_the_vacuum_bound_on_theta_minus(self, hot, below, refused):
+        # a thermal mode beside one at theta = 1/2 - below: the gate refuses
+        # theta_minus < 1/2 - 1e-9 and nothing above it, also beside a mode
+        # 1e6 hot, where delta and det sigma are of size 1e12
+        m = np.diag([hot, hot, 0.5 - below, 0.5 - below])
+        if refused:
+            with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 0.49"):
+                TwoModeCovariance.from_matrix(m)
+        else:
+            assert TwoModeCovariance.from_matrix(m).theta_minus == pytest.approx(
+                0.5 - below, abs=1e-12)
+
+    def test_no_report_below_the_vacuum_bound(self):
+        # vacuum squeezed by r = 7 at 45 degrees, beside vacuum: det X = 1/4
+        # cancels down from entries of size 3e5 and rounds to 0.24998, so the
+        # gate's root conditions pass within their rounding, but the closed
+        # form would report theta_minus = 0.498; the bound on the reported
+        # value refuses it
+        ch, sh = 0.5 * math.cosh(14.0), 0.5 * math.sinh(14.0)
+        m = np.zeros((4, 4))
+        m[:2, :2] = [[ch, sh], [sh, ch]]
+        m[2:, 2:] = 0.5 * np.eye(2)
+        with pytest.raises(PhysicalityError, match="min symplectic eigenvalue 0.49"):
+            TwoModeCovariance.from_matrix(m)
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+    def test_accepts_pure_state_with_squeezed_blocks(self, r):
+        # vacuum through local squeezers r at two angles, a 50:50 beam
+        # splitter and two-mode squeezing 1: the blocks cancel down from
+        # entries of size e^(2r), and the gate's rounding slack must let the
+        # pure state (theta_pm = 1/2) through
+        def local(angle):
+            rot = np.array([[math.cos(angle), -math.sin(angle)],
+                            [math.sin(angle), math.cos(angle)]])
+            return rot @ np.diag([math.exp(r), math.exp(-r)]) @ rot.T
+
+        zeros = np.zeros((2, 2))
+        squeezers = np.block([[local(0.3), zeros], [zeros, local(1.1)]])
+        splitter = np.block([[np.eye(2), np.eye(2)], [-np.eye(2), np.eye(2)]]) / math.sqrt(2.0)
+        tms = np.block([[math.cosh(1.0) * np.eye(2), math.sinh(1.0) * np.diag([1.0, -1.0])],
+                        [math.sinh(1.0) * np.diag([1.0, -1.0]), math.cosh(1.0) * np.eye(2)]])
+        s = tms @ splitter @ squeezers
+        m = s @ s.T / 2.0
+        cov = TwoModeCovariance.from_matrix(0.5 * (m + m.T))
+        assert (cov.theta_plus, cov.theta_minus) == pytest.approx((0.5, 0.5), abs=1e-9)
+
     def test_rejects_asymmetric(self):
         m = 0.5 * np.eye(4)
         m[0, 1] = 0.2
@@ -204,7 +269,7 @@ class TestTwoModeCovariance:
         (np.diag([1.0, np.nan, 1.0, 1.0]), "not finite"),   # exactly symmetric
         (np.diag([1.0, 1.0, 1.0, np.inf]), "not finite"),
         (1e308 * np.eye(4), "overflow"),                     # block determinants overflow
-        (1e308 * np.eye(4) + np.eye(4, k=1), "overflow"),    # symmetrized, then too large
+        (1e308 * np.eye(4) + np.eye(4, k=1), "not finite"),  # m + m.T overflows
     ], ids=["nan", "nan-diagonal", "inf-diagonal", "huge", "huge-asymmetric"])
     def test_nan_or_overflowing_input_is_a_physicality_error(self, m, match):
         # only overflow is ignored: a non-finite entry is refused before det,
@@ -228,8 +293,8 @@ class TestTwoModeCovariance:
         np.block([[np.eye(2), 2.0 * np.eye(2)], [2.0 * np.eye(2), np.eye(2)]]),
     ], ids=["negative-tmsv", "negative-thermal", "negative-mode", "indefinite"])
     def test_rejects_matrix_not_positive_definite(self, m):
-        # each passes the symplectic and det sigma > 0 gates: the spectrum
-        # and the determinant cannot tell sigma from -sigma
+        # the det sigma > 0 gate cannot tell sigma from -sigma (or from an
+        # indefinite matrix with det sigma > 0); the leading-minor gate refuses them
         with pytest.raises(PhysicalityError, match="not positive definite"):
             correlation_report(m)
 
