@@ -25,12 +25,11 @@ computed from the exact solve, never from either closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import EXAMPLE_CONFIG, parse_config
 from .dynamics import solve_lyapunov, system_matrices
-from .errors import ConfigError, StabilityError
+from .errors import ConfigError, StabilityError, _check_number
 from .params import PhysicalParams, derive, squeezed_moments
 from .sweep import _write_table
 
@@ -60,22 +59,14 @@ class MechanicalCovarianceClosed:
     sigma13: float
 
 
-def _validate_inputs(coop: float, r: float, xi: float, gamma: float, kappa: float,
-                     n_th: float) -> None:
-    for name, value in (("cooperativity", coop), ("squeezing_r", r), ("xi", xi),
-                        ("n_th", n_th)):
-        if not math.isfinite(value) or value < 0.0:
-            raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
-    for name, value in (("gamma", gamma), ("kappa", kappa)):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _closed_form(c: float, r: float, xi: float, g: float, k: float, n_th: float,
                  kappa_power: int) -> MechanicalCovarianceClosed:
     """The closed form with ``kappa**kappa_power cosh(2r)`` in the variance
     numerator; cosh 2r = 1 + 2N and sinh 2r = 2M from the squeezed moments."""
-    _validate_inputs(c, r, xi, g, k, n_th)
+    for name, value, positive in (("cooperativity", c, False), ("squeezing_r", r, False),
+                                  ("xi", xi, False), ("n_th", n_th, False),
+                                  ("gamma", g, True), ("kappa", k, True)):
+        _check_number(name, value, minimum=0.0, positive=positive)
     n_sq, m_sq = squeezed_moments(r)
     ch, sh = 1.0 + 2.0 * n_sq, 2.0 * m_sq
     two_n1 = 1.0 + 2.0 * n_th
@@ -98,7 +89,8 @@ def closed_sigma(
     kappa: float,
     n_th: float,
 ) -> MechanicalCovarianceClosed:
-    """Verbatim reference closed form (see module docstring for its caveat)."""
+    """Verbatim reference closed form (see module docstring for its caveat);
+    each input is a finite real number >= 0 (gamma, kappa > 0) or a ConfigError."""
     return _closed_form(cooperativity, squeezing_r, xi, gamma, kappa, n_th, 2)
 
 
@@ -170,9 +162,12 @@ def _rel_dev(a: float, b: float) -> float:
 
 
 def _device_at(point: GridPoint) -> PhysicalParams:
-    """The device at ``point``; a ConfigError names the point."""
+    """The device at ``point``, whose numbers are checked before they are
+    scaled; a ConfigError names the point."""
     kappa = _DEVICE.kappa
     try:
+        for name, value in vars(point).items():
+            _check_number(name, value)
         return _DEVICE.with_updates(
             cooperativity=point.cooperativity, squeezing_r=point.squeezing_r,
             hopping_lambda=point.xi * kappa, gamma=point.gamma_over_kappa * kappa)

@@ -1,5 +1,9 @@
-"""Exception types shared across the package: each is a :class:`DuomechError`
-and keeps its ``ValueError`` or ``RuntimeError`` base."""
+"""Exception types shared across the package, each a :class:`DuomechError`
+that keeps its ``ValueError`` or ``RuntimeError`` base, and the one check of
+a number taken as input."""
+
+import math
+import numbers
 
 __all__ = [
     "DuomechError",
@@ -33,3 +37,19 @@ class UnsupportedBranchError(DuomechError, ValueError):
 
 class BracketError(DuomechError, ValueError):
     """Root bracket does not enclose a sign change of the target indicator."""
+
+
+def _check_number(name, value, minimum=None, positive=False, integer=False) -> None:
+    """Raise a ConfigError that names ``name`` unless ``value`` is a real
+    number (an integer if ``integer``), not a bool, and finite and > 0 if
+    ``positive``, else finite and >= ``minimum`` if one is given."""
+    # the abstract-class check is the slow part, and a float passes it
+    if (integer or type(value) is not float) and (isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real)):
+        raise ConfigError(f"{name} must be {'an integer' if integer else 'a real number'}, "
+                          f"got {value!r}")
+    if positive and not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    if not positive and minimum is not None and not minimum <= value < math.inf:
+        finite = "" if integer else "finite and "
+        raise ConfigError(f"{name} must be {finite}>= {minimum:g}, got {value!r}")

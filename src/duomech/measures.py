@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PhysicalityError, UnsupportedBranchError
+from .errors import ConfigError, PhysicalityError, UnsupportedBranchError, _check_number
 
 __all__ = [
     "TwoModeCovariance",
@@ -178,8 +178,10 @@ class TwoModeCovariance:
         # would warn on it
         if not math.isfinite(det_scale) and not np.isfinite(m).all():
             raise PhysicalityError("covariance matrix is not finite: it has a NaN or infinite entry")
+        # det overflows, and warns, about where det_scale^2 does: refused as inf
+        det_full = float(np.linalg.det(m)) if math.isfinite(det_scale * det_scale) else math.inf
         return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
-                   det_full=float(np.linalg.det(m)), det_scale=det_scale)
+                   det_full=det_full, det_scale=det_scale)
 
 
 def _gate_rounding(m: np.ndarray, det_full: float) -> float:
@@ -371,18 +373,22 @@ def correlation_report(cov: TwoModeCovariance | np.ndarray) -> CorrelationReport
 
 
 def thermal_state(n_mean: float) -> np.ndarray:
-    """Two-mode product thermal covariance (n + 1/2) I4."""
-    if not (math.isfinite(n_mean) and n_mean >= 0.0):
-        raise ValueError(f"mean occupation must be finite and >= 0, got {n_mean!r}")
+    """Two-mode product thermal covariance (n + 1/2) I4, n a finite real
+    number >= 0 (else a ConfigError)."""
+    _check_number("mean occupation", n_mean, minimum=0.0)
     return (n_mean + VACUUM_VARIANCE) * np.eye(4)
 
 
 def two_mode_squeezed_state(s: float) -> np.ndarray:
-    """Pure two-mode squeezed vacuum covariance with squeezing ``s``."""
+    """Pure two-mode squeezed vacuum covariance with squeezing ``s``: a
+    finite real number whose cosh 2s does not overflow, or a ConfigError."""
+    _check_number("squeezing", s)
     if not math.isfinite(s):
-        raise ValueError(f"squeezing must be finite, got {s!r}")
-    ch = 0.5 * math.cosh(2.0 * s)
-    sh = 0.5 * math.sinh(2.0 * s)
+        raise ConfigError(f"squeezing must be finite, got {s!r}")
+    try:
+        ch, sh = 0.5 * math.cosh(2.0 * s), 0.5 * math.sinh(2.0 * s)
+    except OverflowError:
+        raise ConfigError(f"squeezing = {s!r} is too large: cosh 2s overflows") from None
     return np.array(
         [
             [ch, 0.0, sh, 0.0],

@@ -49,13 +49,12 @@ only through rounding.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import CovarianceState, SystemMatrices, _require_stable
-from .errors import ConfigError, PhysicalityError
+from .errors import ConfigError, PhysicalityError, _check_number
 from .sweep import _write_table
 
 __all__ = [
@@ -80,7 +79,8 @@ class SdeConfig:
     200/gamma respectively, gamma being the slowest relaxation rate of the
     system.  128 trajectories put the ensemble standard error near 0.5% of
     the covariance scale at the default durations, comfortably inside the
-    validation tolerances.
+    validation tolerances.  A ConfigError names a field that is not a
+    finite positive real number (an integer >= 2 or >= 0 for the last two).
     """
 
     dt: float = 0.005
@@ -90,26 +90,13 @@ class SdeConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        for name, kind in (("dt", numbers.Real), ("burn_in", numbers.Real),
-                           ("sample_duration", numbers.Real),
-                           ("n_trajectories", numbers.Integral),
-                           ("seed", numbers.Integral)):
-            value = getattr(self, name)
-            if value is None and name in ("burn_in", "sample_duration"):
-                continue
-            # a bool is a number to Python, but seed=True is no seed
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a real number"
-                raise ConfigError(f"{name} must be {noun}, got {value!r}")
-            if kind is numbers.Real and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        if self.n_trajectories < 2:
-            # one trajectory has no standard error, so no verdict
-            raise ConfigError(
-                f"n_trajectories must be >= 2, got {self.n_trajectories!r}"
-            )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed!r}")
+        _check_number("dt", self.dt, positive=True)
+        for name in ("burn_in", "sample_duration"):     # None: the default duration
+            if getattr(self, name) is not None:
+                _check_number(name, getattr(self, name), positive=True)
+        # one trajectory has no standard error, so no verdict
+        _check_number("n_trajectories", self.n_trajectories, minimum=2, integer=True)
+        _check_number("seed", self.seed, minimum=0, integer=True)
 
 
 @dataclass(frozen=True)

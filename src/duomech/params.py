@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import HBAR, KB
-from .errors import ConfigError
+from .errors import ConfigError, _check_number
 
 __all__ = [
     "PhysicalParams",
@@ -64,6 +64,9 @@ class PhysicalParams:
         Dimensionless optomechanical cooperativity; alternative drive
         specification when the pump power is not known.
 
+    A ConfigError names a field given that is not a finite real number,
+    positive for the first seven and >= 0 for the rest (a bool is none).
+
     The drive is fixed at the red sideband: the effective detuning is
     ``-omega_m``, the regime the linearized rotating-wave model assumes, so
     it is a model constant and not a parameter.
@@ -83,28 +86,10 @@ class PhysicalParams:
     cooperativity: float | None = None
 
     def __post_init__(self) -> None:
-        positive = {
-            "omega_m": self.omega_m,
-            "gamma": self.gamma,
-            "mass": self.mass,
-            "cavity_length": self.cavity_length,
-            "omega_c": self.omega_c,
-            "omega_l": self.omega_l,
-            "kappa": self.kappa,
-        }
-        for name, value in positive.items():
-            if not math.isfinite(value) or value <= 0.0:
-                raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-        nonneg = {
-            "temperature": self.temperature,
-            "squeezing_r": self.squeezing_r,
-            "hopping_lambda": self.hopping_lambda,
-            "pump_power": self.pump_power,        # None for the drive not given
-            "cooperativity": self.cooperativity,
-        }
-        for name, value in nonneg.items():
-            if value is not None and (not math.isfinite(value) or value < 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+        for name, positive, optional in _FIELD_CHECKS:
+            value = getattr(self, name)
+            if value is not None or not optional:    # None: the drive not given
+                _check_number(name, value, 0.0, positive)   # keywords cost more
         if (self.pump_power is None) == (self.cooperativity is None):
             raise ConfigError(
                 "exactly one of pump_power and cooperativity must be supplied"
@@ -121,6 +106,13 @@ class PhysicalParams:
     def with_updates(self, **changes) -> "PhysicalParams":
         """Copy with the given fields replaced (re-validated)."""
         return PhysicalParams(**{**self.__dict__, **changes})
+
+
+# the rates and sizes that must be positive; every other field must be >= 0
+_POSITIVE = ("omega_m", "gamma", "mass", "cavity_length", "omega_c", "omega_l", "kappa")
+# (field, must be positive, may be None: a drive) in field order
+_FIELD_CHECKS = tuple((f.name, f.name in _POSITIVE, f.default is None)
+                      for f in fields(PhysicalParams))
 
 
 @dataclass(frozen=True)
@@ -148,12 +140,10 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
     """Mean phonon number of a bath at ``temperature`` for mode ``omega_m``.
 
     The zero-temperature limit is returned exactly as 0 instead of
-    evaluating the exponential.
+    evaluating the exponential.  Both inputs are checked as the fields are.
     """
-    if omega_m <= 0.0:
-        raise ConfigError(f"omega_m must be positive, got {omega_m!r}")
-    if temperature < 0.0:
-        raise ConfigError(f"temperature must be >= 0, got {temperature!r}")
+    _check_number("omega_m", omega_m, positive=True)
+    _check_number("temperature", temperature, minimum=0.0)
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega_m / (KB * temperature)
@@ -166,10 +156,10 @@ def thermal_occupancy(omega_m: float, temperature: float) -> float:
 def squeezed_moments(squeezing_r: float) -> tuple[float, float]:
     """Squeezed-bath moments ``(N, M) = (sinh^2 r, sinh r cosh r)``.
 
-    Raises :class:`ConfigError` when they overflow a float (r above about 355).
+    Raises :class:`ConfigError` for an r that is not a finite real number
+    >= 0, and when the moments overflow a float (r above about 355).
     """
-    if squeezing_r < 0.0:
-        raise ConfigError(f"squeezing_r must be >= 0, got {squeezing_r!r}")
+    _check_number("squeezing_r", squeezing_r, minimum=0.0)
     try:
         return math.sinh(squeezing_r) ** 2, math.sinh(squeezing_r) * math.cosh(squeezing_r)
     except OverflowError:

@@ -5,13 +5,12 @@ a bisection finder for the hopping strength at which entanglement dies."""
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 from .config import EXAMPLE_CONFIG, parse_config
 from .dynamics import CovarianceState, solve_lyapunov, system_matrices
-from .errors import BracketError, ConfigError, DuomechError, StabilityError
+from .errors import BracketError, ConfigError, DuomechError, StabilityError, _check_number
 from .measures import CorrelationReport, TwoModeCovariance, correlation_report
 from .params import DerivedParams, PhysicalParams, derive
 
@@ -42,7 +41,8 @@ SWEEP_VARIABLES = tuple(_SWEEP_FIELDS)
 @dataclass(frozen=True)
 class SweepSpec:
     """A linear grid over one variable, with optional discrete curve values
-    of a second variable (outer loop)."""
+    of a second variable (outer loop); a ConfigError names a field of the
+    wrong type (a bool is no number)."""
 
     variable: str
     start: float
@@ -57,14 +57,11 @@ class SweepSpec:
             raise ConfigError(
                 f"curve_values must be a tuple or a list, got {self.curve_values!r}"
             )
-        typed = [("num", self.num, numbers.Integral), ("start", self.start, numbers.Real),
-                 ("stop", self.stop, numbers.Real)]
-        typed += [("curve value", value, numbers.Real) for value in self.curve_values]
-        for name, value, kind in typed:
-            # a bool is a number to Python, but num=True is no point count
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a real number"
-                raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        _check_number("num", self.num, integer=True)
+        _check_number("start", self.start)
+        _check_number("stop", self.stop)
+        for value in self.curve_values:
+            _check_number("curve value", value)
         if self.variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.variable!r}; "
@@ -274,9 +271,12 @@ def find_critical_xi(held: PhysicalParams, bracket: tuple[float, float]) -> Crit
     """Locate the hopping strength where the log-negativity reaches zero.
 
     Bisects the indicator E_N > 1e-10 down to a xi-resolution of 1e-6; the
-    bracket must satisfy 0 <= lo < hi < inf, E_N(lo) > 0 and E_N(hi) = 0.
+    bracket's ends must be real numbers (else a ConfigError) with 0 <= lo <
+    hi < inf, E_N(lo) > 0 and E_N(hi) = 0.
     """
     lo, hi = bracket
+    _check_number("bracket lo", lo)
+    _check_number("bracket hi", hi)
     if not (0.0 <= lo < hi and math.isfinite(hi)):
         raise BracketError(f"bracket must satisfy 0 <= lo < hi < inf, got {bracket!r}")
     en_lo = _en_at_xi(held, lo)

@@ -1,14 +1,17 @@
 import ast
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import duomech
+from conftest import reference_params
 from duomech import errors
 
 MODULES = sorted(
@@ -78,3 +81,57 @@ def test_runtime_imports_numpy_only(tmp_path):
     assert ast.literal_eval(lines[0]) == []
     imported = set(ast.literal_eval(lines[-1]))
     assert not imported & {"scipy", "hypothesis", "mpmath", "pytest"}
+
+
+def _closed(**changes):
+    args = dict(cooperativity=32.11, squeezing_r=1.0, xi=0.2, gamma=879.6, kappa=87964.6,
+                n_th=1.74)
+    return duomech.closed_sigma(**{**args, **changes})
+
+
+def _bisect(bracket):
+    return duomech.find_critical_xi(duomech.figure_preset("fig4").held, bracket)
+
+
+# every entry point refuses a wrongly typed, non-finite or out-of-range number
+# with a ConfigError that names it; each of these got through or raised
+# another error before
+@pytest.mark.parametrize("call, name", [
+    (lambda: reference_params(squeezing_r=None), "squeezing_r"),
+    (lambda: reference_params(temperature=None), "temperature"),
+    (lambda: reference_params(hopping_lambda=None), "hopping_lambda"),
+    (lambda: reference_params(temperature=True), "temperature"),
+    (lambda: reference_params(cooperativity=True), "cooperativity"),
+    (lambda: reference_params(temperature="1e-4"), "temperature"),
+    (lambda: reference_params(squeezing_r=1 + 0j), "squeezing_r"),
+    (lambda: reference_params(gamma=[1.0]), "gamma"),
+    (lambda: _closed(cooperativity=True), "cooperativity"),
+    (lambda: _closed(cooperativity="1"), "cooperativity"),
+    (lambda: duomech.validate_closed_forms([duomech.GridPoint(1.0, 1.0, "0.2", 0.01)]),
+     r"^GridPoint\(.*\): xi must be a real number"),
+    (lambda: duomech.validate_closed_forms([duomech.GridPoint(True, 1.0, 0.2, 0.01)]),
+     r"^GridPoint\(.*\): cooperativity must be a real number"),
+    (lambda: duomech.thermal_occupancy(1.0, math.nan), "temperature"),
+    (lambda: duomech.thermal_occupancy(math.inf, 1e-4), "omega_m"),
+    (lambda: duomech.squeezed_moments(math.inf), "squeezing_r"),
+    (lambda: duomech.squeezed_moments(math.nan), "squeezing_r"),
+    (lambda: duomech.thermal_state("1"), "mean occupation"),
+    (lambda: duomech.two_mode_squeezed_state("1"), "squeezing"),
+    (lambda: _bisect(("0", 1.0)), "bracket lo"),
+    (lambda: _bisect((False, 1.0)), "bracket lo"),
+], ids=["r-none", "T-none", "lambda-none", "T-bool", "C-bool", "T-str", "r-complex",
+        "gamma-list", "closed-C-bool", "closed-C-str", "grid-xi-str", "grid-C-bool",
+        "occupancy-T-nan", "occupancy-omega-inf", "moments-inf", "moments-nan",
+        "thermal-str", "tmsv-str", "bracket-str", "bracket-bool"])
+def test_bad_number_is_a_config_error_naming_its_field(call, name):
+    with pytest.raises(errors.ConfigError, match=name):
+        call()
+
+
+# the abstract-class check runs for every type but float (np.float32 is no
+# float subclass), and the result is the float's
+@pytest.mark.parametrize("one", [1, np.float64(1.0), np.float32(1.0), np.int64(1)],
+                         ids=["int", "float64", "float32", "int64"])
+def test_other_real_number_types_give_the_float_result(one):
+    assert duomech.derive(reference_params(squeezing_r=one)) == duomech.derive(reference_params(squeezing_r=1.0))
+    assert _closed(squeezing_r=one) == _closed(squeezing_r=1.0)

@@ -63,9 +63,8 @@ def test_failed_points_leave_empty_fields_and_sweep_goes_on(tmp_path, config_fil
 def test_overflowing_points_leave_empty_fields(tmp_path, config_file, capsys):
     # from r ~ 90 the mirror block's determinants overflow: no made-up measures
     out = tmp_path / "sweep.csv"
-    with np.errstate(all="ignore"):
-        code = main(["--config", str(config_file), "--sweep", "r=170:185:4",
-                     "--output", str(out)])
+    code = main(["--config", str(config_file), "--sweep", "r=170:185:4",
+                 "--output", str(out)])
     assert code == 0
     body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in body[1:]]

@@ -333,8 +333,7 @@ class TestSolveLyapunov:
         matrices = system_matrices(derive(reference_params(squeezing_r=300.0)))
         state = solve_lyapunov(matrices)
         assert 0.0 < state.residual <= 1e-10
-        with np.errstate(all="ignore"), pytest.raises(PhysicalityError,
-                                                      match="covariance too large"):
+        with pytest.raises(PhysicalityError, match="covariance too large"):
             TwoModeCovariance.from_matrix(state.mechanical_block)
 
     def test_residual_is_measured_where_the_squared_noise_norm_overflows(self):

@@ -83,9 +83,10 @@ class TestSymplecticSpectrum:
     (two_mode_squeezed_state, math.nan),
     (two_mode_squeezed_state, math.inf),
     (two_mode_squeezed_state, -math.inf),
+    (two_mode_squeezed_state, 400.0),    # cosh 2s overflows
 ])
 def test_reference_state_refuses_its_argument(build, arg):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be finite|too large"):
         build(arg)
 
 
@@ -264,17 +265,18 @@ class TestTwoModeCovariance:
         cov = TwoModeCovariance.from_matrix(m)
         assert np.array_equal(cov.matrix, 0.5 * (m + m.T))
 
-    @pytest.mark.parametrize("m, match", [
-        (np.full((4, 4), np.nan), "not finite"),
-        (np.diag([1.0, np.nan, 1.0, 1.0]), "not finite"),   # exactly symmetric
-        (np.diag([1.0, 1.0, 1.0, np.inf]), "not finite"),
-        (1e308 * np.eye(4), "overflow"),                     # block determinants overflow
-        (1e308 * np.eye(4) + np.eye(4, k=1), "not finite"),  # m + m.T overflows
+    @pytest.mark.parametrize("m, match, over", [
+        (np.full((4, 4), np.nan), "not finite", "warn"),
+        (np.diag([1.0, np.nan, 1.0, 1.0]), "not finite", "warn"),   # exactly symmetric
+        (np.diag([1.0, 1.0, 1.0, np.inf]), "not finite", "warn"),
+        (1e308 * np.eye(4), "overflow", "warn"),            # block determinants overflow
+        (1e308 * np.eye(4) + np.eye(4, k=1), "not finite", "ignore"),  # m + m.T overflows
     ], ids=["nan", "nan-diagonal", "inf-diagonal", "huge", "huge-asymmetric"])
-    def test_nan_or_overflowing_input_is_a_physicality_error(self, m, match):
-        # only overflow is ignored: a non-finite entry is refused before det,
-        # so an invalid-value warning from det would fail the test
-        with np.errstate(over="ignore"), pytest.raises(PhysicalityError, match=match):
+    def test_nan_or_overflowing_input_is_a_physicality_error(self, m, match, over):
+        # a non-finite entry is refused before det, and det is not called
+        # where it would overflow, so a warning from det fails the test; only
+        # the symmetrization's m + m.T may overflow
+        with np.errstate(over=over), pytest.raises(PhysicalityError, match=match):
             TwoModeCovariance.from_matrix(m)
 
     def test_rejects_non_positive_determinant(self, monkeypatch):

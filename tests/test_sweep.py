@@ -65,7 +65,7 @@ class TestReferencePoint:
     def test_overflowing_mirror_block_is_a_physicality_error(self, r_sq):
         # the mirror block passes 1e77, so its 4x4 determinant overflows
         held = figure_preset("fig3").held.with_updates(squeezing_r=r_sq)
-        with np.errstate(all="ignore"), pytest.raises(PhysicalityError, match="overflow"):
+        with pytest.raises(PhysicalityError, match="overflow"):
             evaluate_point(held)
 
 
