@@ -10,7 +10,8 @@ b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
 ``_drift`` and ``_noise``, through their slot tables, are the one place this
 layout is written; the stability check decodes W, and the solve R, by
-rebuilding them.
+rebuilding them.  The solve assembles sigma from the distinct entries of
+one symmetric sector covariance, so sigma is symmetric by construction.
 
 Convention: vacuum quadrature variance is 1/2.  The covariance matrix sigma
 of symmetric-ordered moments is physical iff every symplectic eigenvalue is
@@ -66,7 +67,8 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """Steady-state covariance: full 8x8 plus the mechanical 4x4 block.
+    """Steady-state covariance: full 8x8, exactly symmetric by construction,
+    plus the mechanical 4x4 block.
 
     ``residual`` is ||W sigma + sigma W^T + R||_F / ||R||_F, recomputed after
     the solve as an unconditional quality gate.
@@ -219,7 +221,6 @@ def _require_stable(drift: np.ndarray) -> StabilityReport:
     return report
 
 
-_MAX_ASYMMETRY = 1e-10
 _MAX_RESIDUAL = 1e-10
 
 # Quadratures in mode order: the modes (b1, c1) of cavity 1, then (b2, c2).
@@ -243,21 +244,24 @@ _MINUS_FROM_PLUS = 4 * _SWAP_QY[:, None] + _SWAP_QY[None, :]
 _SIGMA_PLUS = 4 * (_MODE_ORDER[:, None] % 4) + _MODE_ORDER[None, :] % 4
 _SIGMA_MINUS = _MINUS_FROM_PLUS.ravel()[_SIGMA_PLUS]
 _SIGMA_SIGN = np.where(_MODE_ORDER[:, None] // 4 == _MODE_ORDER[None, :] // 4, 1.0, -1.0)
+# the index of each entry of the symmetric S+ among its 10 distinct entries
+_DISTINCT = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
 
 
 def _sigma_map() -> np.ndarray:
-    """The 128x16 map from the row-major S+ to sigma (rows 0-63, row major)
-    and to sigma - sigma^T (rows 64-127).  A sigma row holds +1/2 and
-    +-1/2 in two distinct columns (the q <-> Y swap has no fixed entry), so
-    its product with S+ rounds 1/2 a +- 1/2 b once, in any summation order
-    and with or without FMA: (a +- b) / 2 bit for bit, but for the sign of
-    a zero and for subnormals.  A non-finite entry of S+ makes all of sigma
-    NaN (0 * inf), which the residual gate refuses."""
-    half = np.zeros((_N, _N, 16))
+    """The 64x10 map from the distinct entries of S+ to sigma, row major;
+    sigma_ij and sigma_ji read the same entries alike, so sigma is exactly
+    symmetric.  A row holds +1/2 and +-1/2 in two columns, or their sum (1 or
+    0) in one where an entry and its q <-> Y swap are one, so its product
+    with S+ rounds 1/2 a +- 1/2 b at most once, in any summation order and
+    with or without FMA: (a +- b) / 2 bit for bit, but for the sign of a zero
+    and for subnormals.  A non-finite entry of S+ makes all of sigma NaN
+    (0 * inf), which the residual gate refuses."""
+    weights = np.zeros((_N, _N, 10))
     rows, cols = np.indices((_N, _N))
-    half[rows, cols, _SIGMA_PLUS] = 0.5
-    half[rows, cols, _SIGMA_MINUS] = 0.5 * _SIGMA_SIGN
-    return np.concatenate([half, half - half.transpose(1, 0, 2)]).reshape(2 * _N * _N, 16)
+    np.add.at(weights, (rows, cols, _DISTINCT.ravel()[_SIGMA_PLUS]), 0.5)
+    np.add.at(weights, (rows, cols, _DISTINCT.ravel()[_SIGMA_MINUS]), 0.5 * _SIGMA_SIGN)
+    return weights.reshape(_N * _N, 10)
 
 
 _SIGMA_MAP = _sigma_map()
@@ -265,7 +269,8 @@ _SIGMA_MAP = _sigma_map()
 
 def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
                        kappa_prime: float, squeezing: float) -> list[float]:
-    """Row-major 4x4 real covariance of the (mode1 + mode2)/sqrt2 sector, in
+    """The 10 distinct entries, upper triangle in row-major order, of the
+    symmetric 4x4 real covariance S+ of the (mode1 + mode2)/sqrt2 sector, in
     (q_b, Y_b, q_c, Y_c) order, from its drift M (see
     :func:`_collective_drift`), its normal noise R_N = diag(gamma', kappa')
     and its anomalous noise R_A = diag(0, M kappa) (``squeezing``).
@@ -309,15 +314,16 @@ def _sector_covariance(m: tuple[complex, ...], gamma_prime: float,
     a21 = h22 * g1 * inv_det * inv_trace
     a22 = (squeezing + h22 * g2 * inv_det) * inv_trace
 
+    # N is Hermitian and A symmetric: each moment the formulas give twice
+    # is taken once, as the mean of its two solutions
+    n11, n22 = n11.real, n22.real
+    n12, a12 = 0.5 * (n12 + n21.conjugate()), 0.5 * (a12 + a21)
     # block N + Z A = [[Re(N + A), -Im(N + A)], [Im(N - A), Re(N - A)]]
-    u11, u12, u21, u22 = n11 + a11, n12 + a12, n21 + a21, n22 + a22
-    v11, v12, v21, v22 = n11 - a11, n12 - a12, n21 - a21, n22 - a22
-    return [
-        u11.real, -u11.imag, u12.real, -u12.imag,
-        v11.imag, v11.real, v12.imag, v12.real,
-        u21.real, -u21.imag, u22.real, -u22.imag,
-        v21.imag, v21.real, v22.imag, v22.real,
-    ]
+    u11, u12, u22 = n11 + a11, n12 + a12, n22 + a22
+    v11, v12, v22 = n11 - a11, n12 - a12, n22 - a22
+    return [u11.real, -u11.imag, u12.real, -u12.imag,   # row q_b
+            v11.real, v12.imag, v12.real,               # row Y_b
+            u22.real, -u22.imag, v22.real]              # rows q_c, Y_c
 
 
 def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
@@ -333,11 +339,11 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     explicit solutions (see :func:`_sector_covariance`); the - sector's
     covariance S- is S+ with q and Y swapped within each mode, exactly.
     sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it:
-    one product of S+ with the fixed map ``_SIGMA_MAP`` gives sigma, bit for
-    bit, and sigma - sigma^T for the asymmetry gate.  The sector solve takes
-    the rates and weights over the fastest rate (sigma is dimensionless).
-    The residual gate checks ||W sigma + sigma W^T + R||_F / ||R||_F on W
-    and R as given, after sigma is symmetrized.
+    one product of the 10 distinct entries of S+ with the fixed map
+    ``_SIGMA_MAP`` gives sigma, bit for bit, and exactly symmetric.  The
+    sector solve takes the rates and weights over the fastest rate (sigma is
+    dimensionless).  The residual gate checks
+    ||W sigma + sigma W^T + R||_F / ||R||_F on W and R as given.
 
     Raises
     ------
@@ -349,9 +355,8 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
         If W or R is not of the form the model's builders write, so the
         sector solve does not apply.
     PhysicalityError
-        If the solve leaves an asymmetry or residual beyond 1e-10, or a
-        residual that is not a number, which signals a numerically
-        meaningless solution.
+        If the solve leaves a residual beyond 1e-10, or one that is not a
+        number, which signals a numerically meaningless solution.
     """
     w = np.asarray(matrices.drift, dtype=float)
     r = np.asarray(matrices.noise, dtype=float)
@@ -363,18 +368,9 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
         raise _unsupported("noise")
     scale = max(abs(gamma), abs(kappa))  # > 0: W is stable, so gamma + kappa > 0
     noise = (weights[0] / scale, weights[1] / scale, weights[2] / scale)
-    # sigma, row major, then sigma - sigma^T
-    both = np.dot(_SIGMA_MAP, np.array(_sector_covariance(
+    sigma = np.dot(_SIGMA_MAP, np.array(_sector_covariance(
         _collective_drift(gamma / scale, kappa / scale, coupling / scale, lam / scale), *noise
-    )))
-    sigma = both[:_N * _N].reshape(_N, _N)
-
-    norm, asym = abs(both).reshape(2, _N * _N).max(axis=1).tolist()
-    if norm > 0 and asym > _MAX_ASYMMETRY * norm:
-        raise PhysicalityError(
-            f"Lyapunov solution asymmetric beyond tolerance: {asym / norm:.3e} relative"
-        )
-    sigma = 0.5 * (sigma + sigma.T)
+    ))).reshape(_N, _N)
 
     # sigma is exactly symmetric, so sigma W^T is (W sigma)^T.  Both norms
     # are taken over the fastest rate, as the sector solve's inputs are, and

@@ -40,14 +40,19 @@ class BracketError(DuomechError, ValueError):
 
 
 def _check_number(name, value, minimum=None, positive=False, integer=False) -> None:
-    """Raise a ConfigError that names ``name`` unless ``value`` is a real
-    number (an integer if ``integer``), not a bool, and finite and > 0 if
-    ``positive``, else finite and >= ``minimum`` if one is given."""
+    """Raise a ConfigError that names ``name`` unless ``value`` is an integer
+    if ``integer``, else a real number within float range; not a bool; and
+    finite and > 0 if ``positive``, else finite and >= ``minimum`` if given."""
     # the abstract-class check is the slow part, and a float passes it
     if (integer or type(value) is not float) and (isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integer else numbers.Real)):
         raise ConfigError(f"{name} must be {'an integer' if integer else 'a real number'}, "
                           f"got {value!r}")
+    if not integer and type(value) is not float:
+        try:
+            float(value)
+        except OverflowError:   # an int or a Fraction beyond 1.8e308
+            raise ConfigError(f"{name} must be a real number within float range") from None
     if positive and not 0.0 < value < math.inf:
         raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     if not positive and minimum is not None and not minimum <= value < math.inf:

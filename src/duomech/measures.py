@@ -69,92 +69,34 @@ class TwoModeCovariance:
     """4x4 two-mode covariance in (q_A, Y_A, q_B, Y_B) order with cached
     block determinants and symplectic eigenvalues.
 
-    ``theta_plus`` and ``theta_minus`` are the symplectic eigenvalues of
-    ``matrix`` from its block determinants (:func:`symplectic_eigenvalues`),
-    computed once on construction.  This is the one place a covariance is
-    validated: overflowing block determinants, det sigma <= 0, a det sigma
-    lost to rounding (eps det_scale > 1e-7 sqrt(det sigma)), a matrix that is
-    not positive definite or a symplectic eigenvalue below the vacuum bound
-    raise :class:`PhysicalityError` however the object is built, and the
-    measures do not repeat these gates.
+    ``matrix`` is the only constructor argument.  The object keeps a copy,
+    symmetrized if symmetric to within 1e-10 of its largest entry, and
+    computes every other field from it once, on construction: ``theta_plus``
+    and ``theta_minus`` from the block determinants.  This is the one place a
+    covariance is validated: a shape other than 4x4 raises ``ValueError``; a
+    zero, non-symmetric or non-finite matrix, overflowing block determinants,
+    det sigma <= 0, a det sigma lost to rounding (eps det_scale > 1e-7
+    sqrt(det sigma)), a matrix that is not positive definite or a symplectic
+    eigenvalue below the vacuum bound raise :class:`PhysicalityError`, and
+    the measures do not repeat these gates.
     """
 
     matrix: np.ndarray
-    det_x: float
-    det_b: float
-    det_z: float
-    det_full: float
-    det_scale: float     # |det X| + |det B| + 2 |det Z|, see _disc_band
+    det_x: float = field(init=False)
+    det_b: float = field(init=False)
+    det_z: float = field(init=False)
+    det_full: float = field(init=False)
+    det_scale: float = field(init=False)   # |det X| + |det B| + 2 |det Z|, see _disc_band
     theta_plus: float = field(init=False)
     theta_minus: float = field(init=False)
 
     def __post_init__(self) -> None:
-        # the measures square delta = det X + det B +- 2 det Z and form
-        # 4 det sigma; for a physical state both are bounded by det_scale^2
-        if not (math.isfinite(self.det_scale * self.det_scale)
-                and math.isfinite(self.det_full)):
-            raise PhysicalityError(
-                f"covariance too large: its block determinants overflow "
-                f"(max |entry| = {float(abs(self.matrix).max()):.3e})"
-            )
-        if self.det_full <= 0.0:
-            raise PhysicalityError(f"non-positive covariance determinant {self.det_full!r}")
-        # det sigma = (theta+ theta-)^2 cancels down from terms of size
-        # det_scale^2, so rounding of the entries by eps moves the smallest
-        # symplectic eigenvalues by about eps det_scale / sqrt(det sigma)
-        # relative (X = a I, Z = diag(c, -c): eps a / (a - c))
-        if _EPS * self.det_scale > _MAX_ROUNDING * math.sqrt(self.det_full):
-            raise PhysicalityError(
-                f"covariance determinant lost to rounding: det sigma = "
-                f"{self.det_full!r} against block determinants of size "
-                f"{self.det_scale!r}"
-            )
-        # the spectrum and det sigma are those of -sigma too: with det sigma > 0
-        # above, positive leading minors of orders 1-3 make sigma positive
-        # definite (Sylvester's criterion)
-        (x11, x12, z11, _), (_, x22, z21, _), (_, _, b11, _), _ = self.matrix.tolist()
-        minor3 = self.det_x * b11 - x22 * z11 * z11 + 2.0 * x12 * z11 * z21 - x11 * z21 * z21
-        if not (x11 > 0.0 and self.det_x > 0.0 and minor3 > 0.0):
-            raise PhysicalityError(
-                f"covariance not positive definite: leading minors "
-                f"{x11!r}, {self.det_x!r}, {minor3!r}"
-            )
-        # theta_plus^2 and theta_minus^2 are the roots of
-        # t^2 - delta t + det sigma, real for a positive definite sigma
-        # (Williamson's theorem), so theta_minus >= v exactly when
-        # det sigma >= v^4 and v^2 delta <= det sigma + v^4.  The gate tests
-        # these with v = 1/2 - _PHYS_TOL before it reads theta_minus:
-        # _eigenvalue_pair snaps a discriminant inside its band to
-        # degeneracy, and that band can hide theta_minus < 1/2.  A positive
-        # excess refuses the state unless 8 times its first-order rounding
-        # (_gate_rounding, computed only then) explains it; a state the
-        # rounding lets through must still report theta_minus >= v.
-        delta = self.det_x + self.det_b + 2.0 * self.det_z
-        v2 = (VACUUM_VARIANCE - _PHYS_TOL) ** 2
-        excess = max(v2 * delta - self.det_full - v2 * v2, v2 * v2 - self.det_full)
-        refused = not delta > 0.0 or (   # delta = theta_plus^2 + theta_minus^2
-            excess > 0.0 and excess > 8.0 * _gate_rounding(self.matrix, self.det_full))
-        if refused:   # theta_minus unsnapped, for the message: sqrt(det sigma) / theta_plus
-            den = delta + math.sqrt(max(delta * delta - 4.0 * self.det_full, 0.0))
-            theta_minus = math.sqrt(2.0 * self.det_full / den) if den > 0.0 else math.nan
-        else:
-            theta_plus, theta_minus = _eigenvalue_pair(delta, self)
-        if refused or theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
-            raise PhysicalityError(
-                f"unphysical covariance: min symplectic eigenvalue {theta_minus!r} < 1/2"
-            )
-        object.__setattr__(self, "theta_plus", theta_plus)
-        object.__setattr__(self, "theta_minus", theta_minus)
-
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
         # a copy: the cached determinants must keep describing ``matrix``
-        m = np.array(matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 covariance, got shape {m.shape}")
-        (x11, x12, z11, z12), (x21, x22, z21, z22), (y11, y12, b11, b12), (y21, y22, b21, b22) = (
-            m.tolist()
-        )
+        rows = m.tolist()
+        (x11, x12, z11, z12), (x21, x22, z21, z22), (y11, y12, b11, b12), (y21, y22, b21, b22) = rows
         # exactly symmetric input (every block the solve hands over) needs
         # neither the tolerance gate nor the symmetrization, which would
         # return it unchanged; a zero first variance (the zero matrix among
@@ -166,9 +108,8 @@ class TwoModeCovariance:
             if abs(m - m.T).max() > 1e-10 * scale:
                 raise PhysicalityError("covariance matrix must be symmetric")
             m = 0.5 * (m + m.T)
-            (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = (
-                m.tolist()
-            )
+            rows = m.tolist()
+            (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = rows
         det_x = x11 * x22 - x12 * x21
         det_b = b11 * b22 - b12 * b21
         det_z = z11 * z22 - z12 * z21
@@ -180,22 +121,77 @@ class TwoModeCovariance:
             raise PhysicalityError("covariance matrix is not finite: it has a NaN or infinite entry")
         # det overflows, and warns, about where det_scale^2 does: refused as inf
         det_full = float(np.linalg.det(m)) if math.isfinite(det_scale * det_scale) else math.inf
-        return cls(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z,
-                   det_full=det_full, det_scale=det_scale)
+        # the measures square delta = det X + det B +- 2 det Z and form
+        # 4 det sigma; for a physical state both are bounded by det_scale^2
+        if not (math.isfinite(det_scale * det_scale) and math.isfinite(det_full)):
+            raise PhysicalityError(
+                f"covariance too large: its block determinants overflow "
+                f"(max |entry| = {float(abs(m).max()):.3e})"
+            )
+        if det_full <= 0.0:
+            raise PhysicalityError(f"non-positive covariance determinant {det_full!r}")
+        # det sigma = (theta+ theta-)^2 cancels down from terms of size
+        # det_scale^2, so rounding of the entries by eps moves the smallest
+        # symplectic eigenvalues by about eps det_scale / sqrt(det sigma)
+        # relative (X = a I, Z = diag(c, -c): eps a / (a - c))
+        if _EPS * det_scale > _MAX_ROUNDING * math.sqrt(det_full):
+            raise PhysicalityError(
+                f"covariance determinant lost to rounding: det sigma = "
+                f"{det_full!r} against block determinants of size "
+                f"{det_scale!r}"
+            )
+        # the spectrum and det sigma are those of -sigma too: with det sigma > 0
+        # above, positive leading minors of orders 1-3 make sigma positive
+        # definite (Sylvester's criterion)
+        minor3 = det_x * b11 - x22 * z11 * z11 + 2.0 * x12 * z11 * z21 - x11 * z21 * z21
+        if not (x11 > 0.0 and det_x > 0.0 and minor3 > 0.0):
+            raise PhysicalityError(
+                f"covariance not positive definite: leading minors "
+                f"{x11!r}, {det_x!r}, {minor3!r}"
+            )
+        # theta_plus^2 and theta_minus^2 are the roots of
+        # t^2 - delta t + det sigma, real for a positive definite sigma
+        # (Williamson's theorem), so theta_minus >= v exactly when
+        # det sigma >= v^4 and v^2 delta <= det sigma + v^4.  The gate tests
+        # these with v = 1/2 - _PHYS_TOL before it reads theta_minus:
+        # _eigenvalue_pair snaps a discriminant inside its band to
+        # degeneracy, and that band can hide theta_minus < 1/2.  A positive
+        # excess refuses the state unless 8 times its first-order rounding
+        # (_gate_rounding, computed only then) explains it; a state the
+        # rounding lets through must still report theta_minus >= v.
+        delta = det_x + det_b + 2.0 * det_z
+        v2 = (VACUUM_VARIANCE - _PHYS_TOL) ** 2
+        excess = max(v2 * delta - det_full - v2 * v2, v2 * v2 - det_full)
+        refused = not delta > 0.0 or (   # delta = theta_plus^2 + theta_minus^2
+            excess > 0.0 and excess > 8.0 * _gate_rounding(m, rows, det_full))
+        if refused:   # theta_minus unsnapped, for the message: sqrt(det sigma) / theta_plus
+            den = delta + math.sqrt(max(delta * delta - 4.0 * det_full, 0.0))
+            theta_minus = math.sqrt(2.0 * det_full / den) if den > 0.0 else math.nan
+        else:
+            theta_plus, theta_minus = _eigenvalue_pair(delta, det_full, det_scale)
+        if refused or theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
+            raise PhysicalityError(
+                f"unphysical covariance: min symplectic eigenvalue {theta_minus!r} < 1/2"
+            )
+        # frozen: the fields are set past its __setattr__
+        vars(self).update(matrix=m, det_x=det_x, det_b=det_b, det_z=det_z, det_full=det_full,
+                          det_scale=det_scale, theta_plus=theta_plus, theta_minus=theta_minus)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
+        """The validated covariance of ``matrix``: ``TwoModeCovariance(matrix)``."""
+        return cls(matrix)
 
 
-def _gate_rounding(m: np.ndarray, det_full: float) -> float:
+def _gate_rounding(m: np.ndarray, rows: list, det_full: float) -> float:
     """First-order rounding of the physicality gate's v^2 delta - det sigma
     - v^4: eps times the products the block determinants cancel from (a
     quarter of them, the weight v^2 of delta), plus eps times
     sum |adj(sigma)_ji sigma_ij|, the rounding of np.linalg.det."""
-    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = m.tolist()
+    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = rows
     products = (abs(x11 * x22) + abs(x12 * x21) + abs(b11 * b22) + abs(b12 * b21)
                 + 2.0 * (abs(z11 * z22) + abs(z12 * z21)))
-    try:
-        adjugate = det_full * np.linalg.inv(m)
-    except np.linalg.LinAlgError:   # a singular matrix built with det sigma > 0: no slack
-        return 0.0
+    adjugate = det_full * np.linalg.inv(m)   # m is not singular: det sigma > 0
     return _EPS * (0.25 * products + float(np.vdot(abs(adjugate), abs(m.T))))
 
 
@@ -234,7 +230,7 @@ def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
     )
 
 
-def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float]:
+def _eigenvalue_pair(delta: float, det_full: float, det_scale: float) -> tuple[float, float]:
     """(plus, minus) = sqrt[(delta +- sqrt(disc)) / 2] with
     disc = delta^2 - 4 det sigma.  minus is taken as sqrt(det sigma / plus^2),
     and both as det sigma ** 1/4 at degeneracy: delta - sqrt(disc), and there
@@ -247,17 +243,17 @@ def _eigenvalue_pair(delta: float, c: TwoModeCovariance) -> tuple[float, float]:
     cancellation band (:func:`_disc_band`) snap to exact degeneracy; values
     negative beyond it mean a genuinely complex eigenvalue and are refused.
     """
-    disc = delta * delta - 4.0 * c.det_full
-    band = _disc_band(delta, c.det_full, c.det_scale)
+    disc = delta * delta - 4.0 * det_full
+    band = _disc_band(delta, det_full, det_scale)
     if disc < -max(band, 1e-12):
         raise PhysicalityError(
             f"complex symplectic eigenvalue: discriminant {disc!r} < 0"
         )
     if disc < band:
-        both = c.det_full ** 0.25
+        both = det_full ** 0.25
         return both, both
     plus_sq = (delta + math.sqrt(disc)) / 2.0
-    return math.sqrt(plus_sq), math.sqrt(c.det_full / plus_sq)
+    return math.sqrt(plus_sq), math.sqrt(det_full / plus_sq)
 
 
 def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
@@ -295,7 +291,7 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
-    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c)
+    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c.det_full, c.det_scale)
     if nu_minus <= 0.0:
         raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus

@@ -115,11 +115,13 @@ def _apply(params: PhysicalParams, variable: str, value: float) -> PhysicalParam
 class PointResult:
     """Full pipeline output at one parameter point."""
 
-    params: PhysicalParams
     derived: DerivedParams
-    stable: bool
     state: CovarianceState | None
     report: CorrelationReport | None
+
+    @property
+    def stable(self) -> bool:
+        return self.state is not None
 
 
 def evaluate_point(params: PhysicalParams) -> PointResult:
@@ -130,10 +132,9 @@ def evaluate_point(params: PhysicalParams) -> PointResult:
     try:
         state = solve_lyapunov(system_matrices(derived))
     except StabilityError:
-        return PointResult(params, derived, False, None, None)
+        return PointResult(derived, None, None)
     cov = TwoModeCovariance.from_matrix(state.mechanical_block)
-    report = correlation_report(cov)
-    return PointResult(params, derived, True, state, report)
+    return PointResult(derived, state, correlation_report(cov))
 
 
 @dataclass(frozen=True)

@@ -119,10 +119,14 @@ def _bisect(bracket):
     (lambda: duomech.two_mode_squeezed_state("1"), "squeezing"),
     (lambda: _bisect(("0", 1.0)), "bracket lo"),
     (lambda: _bisect((False, 1.0)), "bracket lo"),
+    (lambda: reference_params(temperature=10**400), "temperature"),
+    (lambda: duomech.SweepSpec("T", 0, 10**400, 3, reference_params()), "stop"),
+    (lambda: duomech.SdeConfig(dt=10**400), "dt"),
 ], ids=["r-none", "T-none", "lambda-none", "T-bool", "C-bool", "T-str", "r-complex",
         "gamma-list", "closed-C-bool", "closed-C-str", "grid-xi-str", "grid-C-bool",
         "occupancy-T-nan", "occupancy-omega-inf", "moments-inf", "moments-nan",
-        "thermal-str", "tmsv-str", "bracket-str", "bracket-bool"])
+        "thermal-str", "tmsv-str", "bracket-str", "bracket-bool", "T-beyond-float",
+        "sweep-stop-beyond-float", "dt-beyond-float"])
 def test_bad_number_is_a_config_error_naming_its_field(call, name):
     with pytest.raises(errors.ConfigError, match=name):
         call()

@@ -241,8 +241,8 @@ class TestSolveLyapunov:
         assert sorted(calls) == ["_eigenvalues", "_sector_covariance"]
 
     def test_residual_gate_bites(self, monkeypatch):
-        # a diagonal entry of the sector covariance keeps sigma symmetric, so
-        # only the residual gate can refuse it
+        # sigma stays symmetric whatever the sector covariance, and the
+        # residual gate refuses a perturbed entry of it
         original = dynamics._sector_covariance
 
         def perturbed(*args):
@@ -254,22 +254,9 @@ class TestSolveLyapunov:
         with pytest.raises(PhysicalityError, match="residual"):
             solve_lyapunov(system_matrices(derive(reference_params())))
 
-    def test_asymmetry_gate_bites(self, monkeypatch):
-        # entry 1 is S+[q_b, Y_b]; entry 4, S+[Y_b, q_b], no longer mirrors it
-        original = dynamics._sector_covariance
-
-        def perturbed(*args):
-            entries = original(*args)
-            entries[1] *= 1.0 + 1e-8
-            return entries
-
-        monkeypatch.setattr(dynamics, "_sector_covariance", perturbed)
-        with pytest.raises(PhysicalityError, match="asymmetric"):
-            solve_lyapunov(system_matrices(derive(reference_params())))
-
     def test_sigma_is_the_take_assembly_bit_for_bit(self, monkeypatch):
         # the reference: each entry of sigma as the half sum or difference
-        # of the two entries of S+ it is taken out of, then symmetrized
+        # of the two distinct entries of S+ it is taken out of
         sectors = []
         original = dynamics._sector_covariance
 
@@ -289,11 +276,11 @@ class TestSolveLyapunov:
                 squeezing_r=rng.uniform(0.0, 3.0),
             )
             state = solve_lyapunov(system_matrices(derive(params)))
-            plus = np.array(sectors.pop())
-            sigma = (plus.take(dynamics._SIGMA_PLUS)
-                     + dynamics._SIGMA_SIGN * plus.take(dynamics._SIGMA_MINUS)) * 0.5
-            expected = 0.5 * (sigma + sigma.T)
+            distinct = np.array(sectors.pop()).take(dynamics._DISTINCT).ravel()
+            expected = (distinct.take(dynamics._SIGMA_PLUS)
+                        + dynamics._SIGMA_SIGN * distinct.take(dynamics._SIGMA_MINUS)) * 0.5
             assert state.full.tobytes() == expected.tobytes(), params
+            assert (state.full == state.full.T).all(), params
 
     def test_refuses_unstable_drift(self):
         bad = SystemMatrices(drift=np.eye(8), noise=np.eye(8))
