@@ -9,10 +9,11 @@ nats).  The states produced by this package are exchange symmetric (B = X,
 Z = diag(z, -z)); the steering and log-negativity routines accept general
 physical two-mode covariances, the discord routine is restricted to the
 det Z <= 0, B = X branch its closed form covers and refuses anything else.
-The symplectic eigenvalues of sigma come from the same determinants, once
-per covariance; :func:`symplectic_spectrum`, the general n-mode route through
-the eigenvalues of i Omega sigma, stays as the independent reference the
-tests compare them with.
+The symplectic eigenvalues of sigma (once per covariance) and of its
+partial transpose come from the same blocks, their discriminant from the
+block adjugates; :func:`symplectic_spectrum`, the general n-mode route
+through the eigenvalues of i Omega sigma, stays as the independent
+reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -72,7 +73,8 @@ class TwoModeCovariance:
     ``matrix`` is the only constructor argument.  The object keeps a copy,
     symmetrized if symmetric to within 1e-10 of its largest entry, and
     computes every other field from it once, on construction: ``theta_plus``
-    and ``theta_minus`` from the block determinants.  This is the one place a
+    and ``theta_minus`` from the blocks, as :func:`_eigenvalue_pair` gives
+    them.  This is the one place a
     covariance is validated: a shape other than 4x4 raises ``ValueError``; a
     zero, non-symmetric or non-finite matrix, overflowing block determinants,
     det sigma <= 0, a det sigma lost to rounding (eps det_scale > 1e-7
@@ -86,7 +88,7 @@ class TwoModeCovariance:
     det_b: float = field(init=False)
     det_z: float = field(init=False)
     det_full: float = field(init=False)
-    det_scale: float = field(init=False)   # |det X| + |det B| + 2 |det Z|, see _disc_band
+    det_scale: float = field(init=False)   # |det X| + |det B| + 2 |det Z|, the rounding gate's scale
     theta_plus: float = field(init=False)
     theta_minus: float = field(init=False)
 
@@ -121,8 +123,8 @@ class TwoModeCovariance:
             raise PhysicalityError("covariance matrix is not finite: it has a NaN or infinite entry")
         # det overflows, and warns, about where det_scale^2 does: refused as inf
         det_full = float(np.linalg.det(m)) if math.isfinite(det_scale * det_scale) else math.inf
-        # the measures square delta = det X + det B +- 2 det Z and form
-        # 4 det sigma; for a physical state both are bounded by det_scale^2
+        # the measures square det X - det B and delta = det X + det B +- 2 det Z,
+        # both at most det_scale
         if not (math.isfinite(det_scale * det_scale) and math.isfinite(det_full)):
             raise PhysicalityError(
                 f"covariance too large: its block determinants overflow "
@@ -149,27 +151,8 @@ class TwoModeCovariance:
                 f"covariance not positive definite: leading minors "
                 f"{x11!r}, {det_x!r}, {minor3!r}"
             )
-        # theta_plus^2 and theta_minus^2 are the roots of
-        # t^2 - delta t + det sigma, real for a positive definite sigma
-        # (Williamson's theorem), so theta_minus >= v exactly when
-        # det sigma >= v^4 and v^2 delta <= det sigma + v^4.  The gate tests
-        # these with v = 1/2 - _PHYS_TOL before it reads theta_minus:
-        # _eigenvalue_pair snaps a discriminant inside its band to
-        # degeneracy, and that band can hide theta_minus < 1/2.  A positive
-        # excess refuses the state unless 8 times its first-order rounding
-        # (_gate_rounding, computed only then) explains it; a state the
-        # rounding lets through must still report theta_minus >= v.
-        delta = det_x + det_b + 2.0 * det_z
-        v2 = (VACUUM_VARIANCE - _PHYS_TOL) ** 2
-        excess = max(v2 * delta - det_full - v2 * v2, v2 * v2 - det_full)
-        refused = not delta > 0.0 or (   # delta = theta_plus^2 + theta_minus^2
-            excess > 0.0 and excess > 8.0 * _gate_rounding(m, rows, det_full))
-        if refused:   # theta_minus unsnapped, for the message: sqrt(det sigma) / theta_plus
-            den = delta + math.sqrt(max(delta * delta - 4.0 * det_full, 0.0))
-            theta_minus = math.sqrt(2.0 * det_full / den) if den > 0.0 else math.nan
-        else:
-            theta_plus, theta_minus = _eigenvalue_pair(delta, det_full, det_scale)
-        if refused or theta_minus < VACUUM_VARIANCE - _PHYS_TOL:
+        theta_plus, theta_minus = _eigenvalue_pair(rows, 1.0, det_full)
+        if not theta_minus >= VACUUM_VARIANCE - _PHYS_TOL:
             raise PhysicalityError(
                 f"unphysical covariance: min symplectic eigenvalue {theta_minus!r} < 1/2"
             )
@@ -181,18 +164,6 @@ class TwoModeCovariance:
     def from_matrix(cls, matrix: np.ndarray) -> "TwoModeCovariance":
         """The validated covariance of ``matrix``: ``TwoModeCovariance(matrix)``."""
         return cls(matrix)
-
-
-def _gate_rounding(m: np.ndarray, rows: list, det_full: float) -> float:
-    """First-order rounding of the physicality gate's v^2 delta - det sigma
-    - v^4: eps times the products the block determinants cancel from (a
-    quarter of them, the weight v^2 of delta), plus eps times
-    sum |adj(sigma)_ji sigma_ij|, the rounding of np.linalg.det."""
-    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = rows
-    products = (abs(x11 * x22) + abs(x12 * x21) + abs(b11 * b22) + abs(b12 * b21)
-                + 2.0 * (abs(z11 * z22) + abs(z12 * z21)))
-    adjugate = det_full * np.linalg.inv(m)   # m is not singular: det sigma > 0
-    return _EPS * (0.25 * products + float(np.vdot(abs(adjugate), abs(m.T))))
 
 
 def _as_cov(cov: TwoModeCovariance | np.ndarray) -> TwoModeCovariance:
@@ -217,39 +188,35 @@ def f_function(x: float) -> float:
     return math.log(x + VACUUM_VARIANCE) + xm * math.log1p(1.0 / xm)
 
 
-def _disc_band(delta: float, det_full: float, det_scale: float) -> float:
-    """Roundoff band of the discriminant delta^2 - 4 det_full.
+def _eigenvalue_pair(rows: list, s: float, det_full: float) -> tuple[float, float]:
+    """(plus, minus): the symplectic eigenvalues of sigma (s = +1) or of its
+    partial transpose (s = -1), from the rows of sigma and its det_full.
 
-    ``det_scale`` is the pre-cancellation magnitude of the block-determinant
-    combination (|det X| + |det B| + 2 |det Z|): both delta and det_full are
-    differences of terms of that size, so the discriminant inherits an
-    absolute error of order eps * det_scale^2 even when it is exactly zero.
+    plus^2 and minus^2 are the roots of t^2 - delta t + det sigma with
+    delta = det X + det B + 2 s det Z.  Their discriminant
+    delta^2 - 4 det sigma is a difference of terms of size det_scale^2; it
+    is taken as the equal (det X - det B)^2 + 4 s det(adj(X) Z + s adj(Z)^T B)
+    (exact for symmetric X and B), which is 0 bit for bit for the theta of
+    the model's states (X = B, Z = diag(z, -z)) and 16 z^2 det X, with no
+    such cancellation, for their partial transpose.  Both discriminants are
+    >= 0 for a positive definite sigma (Williamson's theorem), so a negative
+    value is rounding: at disc <= 0 both are det sigma ** 1/4, else
+    plus^2 = (delta + sqrt(disc)) / 2 and minus = sqrt(det sigma / plus^2),
+    since delta - sqrt(disc) loses digits.
     """
-    return 4096.0 * _EPS * max(
-        delta * delta, abs(4.0 * det_full), det_scale * det_scale, 1e-300
-    )
-
-
-def _eigenvalue_pair(delta: float, det_full: float, det_scale: float) -> tuple[float, float]:
-    """(plus, minus) = sqrt[(delta +- sqrt(disc)) / 2] with
-    disc = delta^2 - 4 det sigma.  minus is taken as sqrt(det sigma / plus^2),
-    and both as det sigma ** 1/4 at degeneracy: delta - sqrt(disc), and there
-    delta itself, lose digits.
-
-    States produced by this system have exactly degenerate symplectic
-    spectra (delta^2 = 4 det sigma), so the cancellation leaves the
-    discriminant straddling zero at roundoff level; the square root would
-    amplify that into a spurious eigenvalue split.  Values inside the
-    cancellation band (:func:`_disc_band`) snap to exact degeneracy; values
-    negative beyond it mean a genuinely complex eigenvalue and are refused.
-    """
-    disc = delta * delta - 4.0 * det_full
-    band = _disc_band(delta, det_full, det_scale)
-    if disc < -max(band, 1e-12):
-        raise PhysicalityError(
-            f"complex symplectic eigenvalue: discriminant {disc!r} < 0"
-        )
-    if disc < band:
+    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = rows
+    det_x = x11 * x22 - x12 * x21
+    det_b = b11 * b22 - b12 * b21
+    delta = det_x + det_b + 2.0 * s * (z11 * z22 - z12 * z21)
+    # adj(X) Z + s adj(Z)^T B, with adj([[p, q], [r, t]]) = [[t, -q], [-r, p]]
+    m11 = x22 * z11 - x12 * z21 + s * (z22 * b11 - z21 * b21)
+    m12 = x22 * z12 - x12 * z22 + s * (z22 * b12 - z21 * b22)
+    m21 = x11 * z21 - x21 * z11 + s * (z11 * b21 - z12 * b11)
+    m22 = x11 * z22 - x21 * z12 + s * (z11 * b22 - z12 * b12)
+    disc = (det_x - det_b) ** 2 + 4.0 * s * (m11 * m22 - m12 * m21)
+    if not delta > 0.0:   # delta = plus^2 + minus^2
+        raise PhysicalityError(f"symplectic invariant lost to rounding: delta = {delta!r} <= 0")
+    if disc <= 0.0:
         both = det_full ** 0.25
         return both, both
     plus_sq = (delta + math.sqrt(disc)) / 2.0
@@ -261,7 +228,8 @@ def symplectic_eigenvalues(cov: TwoModeCovariance | np.ndarray) -> tuple[float, 
     determinants, as :class:`TwoModeCovariance` caches them.
 
     theta_pm = sqrt[(Delta' +- sqrt(Delta'^2 - 4 det sigma)) / 2] with
-    Delta' = det X + det B + 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
+    Delta' = det X + det B + 2 det Z, the discriminant taken from the block
+    adjugates as in :func:`_eigenvalue_pair`.
     The tests compare it with the general :func:`symplectic_spectrum`.
     """
     c = _as_cov(cov)
@@ -286,14 +254,13 @@ def log_negativity(cov: TwoModeCovariance | np.ndarray) -> tuple[float, float]:
     symplectic eigenvalue of the partially transposed covariance.
 
     nu_pm = sqrt[(Delta +- sqrt(Delta^2 - 4 det sigma)) / 2] with
-    Delta = det X + det B - 2 det Z, evaluated as in :func:`_eigenvalue_pair`.
+    Delta = det X + det B - 2 det Z, the discriminant taken from the block
+    adjugates as in :func:`_eigenvalue_pair`.
     The modes are entangled iff nu_minus < 1/2, and
     E_N = max[0, -ln(2 nu_minus)].
     """
     c = _as_cov(cov)
-    _, nu_minus = _eigenvalue_pair(c.det_x + c.det_b - 2.0 * c.det_z, c.det_full, c.det_scale)
-    if nu_minus <= 0.0:
-        raise PhysicalityError("vanishing partial-transpose symplectic eigenvalue")
+    _, nu_minus = _eigenvalue_pair(c.matrix.tolist(), -1.0, c.det_full)
     return _snap_floor(-math.log(2.0 * nu_minus)), nu_minus
 
 

@@ -4,14 +4,10 @@ criteria's pass/fail lines, printed in the terminal summary."""
 
 from __future__ import annotations
 
-import math
-
 from duomech import (
     EXAMPLE_CONFIG,
     CorrelationReport,
     PhysicalParams,
-    TwoModeCovariance,
-    measures,
     parse_config,
     symplectic_spectrum,
 )
@@ -23,16 +19,14 @@ def reference_params(**overrides) -> PhysicalParams:
     return parse_config(EXAMPLE_CONFIG).with_updates(**overrides)
 
 
-def assert_theta_matches_spectrum(report: CorrelationReport, block) -> None:
-    """The report's symplectic eigenvalues, from the block determinants,
-    against the independent i Omega sigma route of ``symplectic_spectrum``:
-    within 1e-9 max(1, theta_plus), plus the split sqrt(band) /
-    (4 max(theta_minus, 1/4)) that the discriminant's roundoff band hides."""
-    c = TwoModeCovariance.from_matrix(block)
-    band = measures._disc_band(c.det_x + c.det_b + 2.0 * c.det_z, c.det_full, c.det_scale)
-    tol = (1e-9 * max(1.0, report.theta_plus)
-           + math.sqrt(band) / (4.0 * max(report.theta_minus, 0.25)))
-    ref_minus, ref_plus = symplectic_spectrum(block).tolist()
+def assert_theta_matches_spectrum(report: CorrelationReport, block,
+                                  reference=symplectic_spectrum) -> None:
+    """The report's symplectic eigenvalues, from the blocks, against an
+    independent route, by default the i Omega sigma one of
+    ``symplectic_spectrum`` (``reference`` maps the block to both values,
+    ascending): within 1e-9 max(1, theta_plus)."""
+    tol = 1e-9 * max(1.0, report.theta_plus)
+    ref_minus, ref_plus = list(reference(block))
     assert abs(report.theta_minus - ref_minus) <= tol, (report.theta_minus, ref_minus, tol)
     assert abs(report.theta_plus - ref_plus) <= tol, (report.theta_plus, ref_plus, tol)
 

@@ -2,11 +2,11 @@ import dataclasses
 import decimal
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import assert_theta_matches_spectrum, reference_params
-from duomech import measures
 from duomech import (
     EXAMPLE_CONFIG,
     PhysicalityError,
@@ -31,6 +31,17 @@ KAPPA = reference_params().kappa
 # frozen by direct evaluation of the entropy-kernel combination
 TMSV_DISCORD = {0.5: 0.6594529591680367, 1.0: 1.6198220928977025,
                 2.0: 3.6138174635076084}
+
+
+def _spectrum_at_80_digits(block: np.ndarray) -> list[float]:
+    """Both symplectic eigenvalues of the float block, ascending, from its
+    block determinants and det at 80 digits."""
+    with mpmath.workdps(80):
+        m = mpmath.matrix(block.tolist())
+        det2 = lambda i, j: m[i, j] * m[i + 1, j + 1] - m[i, j + 1] * m[i + 1, j]
+        delta = det2(0, 0) + det2(2, 2) + 2 * det2(0, 2)
+        root = mpmath.sqrt(max(delta * delta - 4 * mpmath.det(m), 0))
+        return [float(mpmath.sqrt((delta + sign * root) / 2)) for sign in (-1, 1)]
 
 
 class TestFFunction:
@@ -109,18 +120,32 @@ class TestSymplecticEigenvalues:
             assert abs(tm - ref[0]) < 1e-9
             assert abs(tp - ref[1]) < 1e-9
 
-    @pytest.mark.parametrize("params", [
-        figure_preset("fig2").held.with_updates(squeezing_r=8.0),
-        reference_params(cooperativity=1.3e-3, hopping_lambda=9.9 * KAPPA, temperature=2.5e-3),
-        reference_params(gamma=1e-5 * KAPPA),
-        reference_params(squeezing_r=15.0),
+    @pytest.mark.parametrize("params, reference", [
+        (figure_preset("fig2").held.with_updates(squeezing_r=8.0), _spectrum_at_80_digits),
+        (reference_params(cooperativity=1.3e-3, hopping_lambda=9.9 * KAPPA, temperature=2.5e-3),
+         symplectic_spectrum),
+        (reference_params(gamma=1e-5 * KAPPA), symplectic_spectrum),
+        (reference_params(squeezing_r=15.0), symplectic_spectrum),
     ], ids=["fig2-r8", "weak-coupling-strong-hopping", "gamma-1e-5-kappa", "r15"])
-    def test_pipeline_points_match_spectrum(self, params):
-        # extreme points of the sweep path: at fig2's r = 8 the two routes
-        # differ by 1.8e-9 relative (1.1e-6 at theta = 616), inside the
-        # discriminant band but not inside a bare 1e-9 relative bound
+    def test_pipeline_points_match_spectrum(self, params, reference):
+        # extreme points of the sweep path.  At fig2's r = 8 the i Omega
+        # sigma route is itself 1.7e-9 relative off the 80-digit theta of the
+        # same float block (1.1e-6 at theta = 616), where the report's
+        # det sigma ** 1/4 is 1.4e-11 off, so that point is checked against
+        # 80 digits
         result = evaluate_point(params)
-        assert_theta_matches_spectrum(result.report, result.state.mechanical_block)
+        assert_theta_matches_spectrum(result.report, result.state.mechanical_block, reference)
+
+    def test_real_split_of_large_blocks(self):
+        # X = B = 1e4 I and Z = diag(c1, -c2) with c1 != c2: theta_pm =
+        # (10, 0.6) is a real split, though delta^2 - 4 det sigma would cancel
+        # from terms of size 1e17
+        a = 1e4
+        z = np.diag([a - 1.8e-5, -(a - 5e-3)])
+        m = np.block([[a * np.eye(2), z], [z, a * np.eye(2)]])
+        assert symplectic_spectrum(m) == pytest.approx([0.6, 10.0], abs=1e-6)
+        report = correlation_report(m)
+        assert (report.theta_minus, report.theta_plus) == pytest.approx((0.6, 10.0), abs=1e-6)
 
 
 class TestSteering:
@@ -187,12 +212,10 @@ class TestTwoModeCovariance:
     @pytest.mark.parametrize("theta_minus, shown", [(0.4, "0.4000"), (0.5 - 1e-6, "0.49999")])
     def test_rejects_unphysical_state_with_large_blocks(self, theta_minus, shown):
         # X = a I, B = b I, Z = diag(c, -c) with theta_pm = (10, theta_minus):
-        # delta is small against det_scale, so the discriminant falls inside
-        # the band of _eigenvalue_pair, which snaps theta_pm to about (2, 2);
-        # the gate must not read the snapped pair.  At 1/2 - 1e-6 the
-        # excess is below eps |sigma|_F^2 delta, a rounding allowance that
-        # would hold for any sigma; the state's own first-order rounding is
-        # smaller and refuses it
+        # delta is small against det_scale, so delta^2 - 4 det sigma would
+        # cancel from terms of size 1e17; at 1/2 - 1e-6 theta_minus is below
+        # the vacuum bound by less than eps |sigma|_F^2 delta, a rounding
+        # allowance that would hold for any sigma
         a = 1e4
         b = a + 10.0 - theta_minus
         c = math.sqrt(a * b - 10.0 * theta_minus)
@@ -218,9 +241,7 @@ class TestTwoModeCovariance:
     def test_no_report_below_the_vacuum_bound(self):
         # vacuum squeezed by r = 7 at 45 degrees, beside vacuum: det X = 1/4
         # cancels down from entries of size 3e5 and rounds to 0.24998, so the
-        # gate's root conditions pass within their rounding, but the closed
-        # form would report theta_minus = 0.498; the bound on the reported
-        # value refuses it
+        # blocks give a theta_minus below 1/2 - 1e-9, which the gate refuses
         ch, sh = 0.5 * math.cosh(14.0), 0.5 * math.sinh(14.0)
         m = np.zeros((4, 4))
         m[:2, :2] = [[ch, sh], [sh, ch]]
@@ -232,8 +253,8 @@ class TestTwoModeCovariance:
     def test_accepts_pure_state_with_squeezed_blocks(self, r):
         # vacuum through local squeezers r at two angles, a 50:50 beam
         # splitter and two-mode squeezing 1: the blocks cancel down from
-        # entries of size e^(2r), and the gate's rounding slack must let the
-        # pure state (theta_pm = 1/2) through
+        # entries of size e^(2r), and the theta_pm they give must let the
+        # pure state (theta_pm = 1/2) through the gate's 1e-9
         def local(angle):
             rot = np.array([[math.cos(angle), -math.sin(angle)],
                             [math.sin(angle), math.cos(angle)]])
@@ -332,20 +353,6 @@ class TestCorrelationReport:
         assert rep.theta_plus == pytest.approx(0.5, abs=1e-9)
         assert rep.theta_minus == pytest.approx(0.5, abs=1e-9)
 
-    def test_one_discriminant_band_per_eigenvalue_pair(self, monkeypatch):
-        # one band for the partial-transpose pair, one for theta_pm (computed
-        # once, on construction)
-        calls = []
-        band = measures._disc_band
-
-        def counted(*args):
-            calls.append(1)
-            return band(*args)
-
-        monkeypatch.setattr(measures, "_disc_band", counted)
-        correlation_report(TwoModeCovariance.from_matrix(two_mode_squeezed_state(1.0)))
-        assert len(calls) == 2
-
     def test_invariant_combinations(self):
         cov = TwoModeCovariance.from_matrix(two_mode_squeezed_state(0.8))
         rep = correlation_report(cov)
@@ -373,6 +380,18 @@ class TestPartialTransposePrecision:
         p = np.diag([1.0, 1.0, 1.0, -1.0])
         assert result.report.nu_minus == pytest.approx(
             symplectic_spectrum(p @ m @ p)[0], rel=1e-7)
+
+    def test_nu_minus_of_a_thermal_point_against_80_digits(self):
+        # a thermal point of the fig3 device whose partial transpose has the
+        # discriminant 16 z^2 det X = 6.6, where delta^2 - 4 det sigma would
+        # cancel from terms of size det_scale^2 = 7.5e12; the reference is an
+        # 80-digit evaluation of the same float W and R
+        held = figure_preset("fig3").held
+        params = held.with_updates(cooperativity=0.0593, hopping_lambda=2.94 * held.kappa,
+                                   gamma=3.24e-4 * held.kappa, temperature=53.3e-3,
+                                   squeezing_r=0.327)
+        report = evaluate_point(params).report
+        assert report.nu_minus == pytest.approx(1170.7957233240975, rel=1e-12)
 
 
 class TestLargeSqueezing:

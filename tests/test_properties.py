@@ -26,7 +26,6 @@ from duomech import (
     dynamics,
     evaluate_point,
     figure_preset,
-    measures,
     symplectic_spectrum,
 )
 
@@ -192,15 +191,6 @@ def _exact_measures(rates, weights):
         return float(theta), float(nu_minus), float(max(0, -mpmath.log(2 * nu_minus)))
 
 
-def _det2_bound(m, e, i, j):
-    """Bound on the distance of the float det of m's 2x2 block at (i, j)
-    from the exact det of the exact block: its entries' bounds e, and two
-    products and a difference rounded."""
-    a, b, c, d = m[i, j], m[i, j + 1], m[i + 1, j], m[i + 1, j + 1]
-    return (abs(d) * e[i, j] + abs(a) * e[i + 1, j + 1] + abs(c) * e[i, j + 1]
-            + abs(b) * e[i + 1, j] + 2.0 * _U * (abs(a * d) + abs(b * c)))
-
-
 @settings(derandomize=True, deadline=None, max_examples=20, database=None)
 @given(
     cooperativity=log_uniform(-3, 5),
@@ -215,8 +205,10 @@ def test_report_within_its_rounding_bound_of_80_digits(cooperativity, xi, gamma_
     # and never fitted to the errors seen: the running bound on the mirror
     # block (above), then det sigma as numpy's LU gives it (the exact det of
     # sigma + E with |E| <= gamma_4 P |L| |U|, as sign exp(sum log |u_ii|)),
-    # the block determinants, and the closed forms of the measures.  The
-    # terms left out are of second order, the square of a relative bound
+    # the running bound on the partial transpose's delta and discriminant
+    # (the operations of _eigenvalue_pair), and the closed forms of the
+    # measures.  The terms left out are of second order, the square of a
+    # relative bound
     kappa = HELD.kappa
     params = HELD.with_updates(
         cooperativity=cooperativity, hopping_lambda=xi * kappa,
@@ -246,22 +238,30 @@ def test_report_within_its_rounding_bound_of_80_digits(cooperativity, xi, gamma_
     theta_rel = det_err / (4.0 * det_full) + 2.0 * _U
     assert abs(report.theta_plus - theta) <= theta_rel * theta
 
-    delta = cov.det_x + cov.det_b - 2.0 * cov.det_z
-    delta_err = (_det2_bound(sigma, err, 0, 0) + _det2_bound(sigma, err, 2, 2)
-                 + 2.0 * _det2_bound(sigma, err, 0, 2) + 2.0 * _U * cov.det_scale)
-    disc = delta * delta - 4.0 * det_full
-    disc_err = 2.0 * abs(delta) * delta_err + 4.0 * det_err + _U * (delta * delta + abs(disc))
-    band = measures._disc_band(delta, det_full, cov.det_scale)
-    if disc < band:
-        # snapped to det sigma ** 1/4, which is off nu_minus = s - |z| by the
-        # factor sqrt((s + |z|) / (s - |z|)); the exact discriminant is
-        # 16 s^2 z^2 with s^2 = det X, and below band + disc_err
-        split = math.sqrt(band + disc_err) / (4.0 * cov.det_x)
+    # the partial transpose's delta and discriminant as _eigenvalue_pair
+    # takes them (s = -1), with a running bound on each
+    (x11, x12, z11, z12), (x21, x22, z21, z22), (_, _, b11, b12), (_, _, b21, b22) = [
+        [_Rounded(v, e) for v, e in zip(row, row_err)]
+        for row, row_err in zip(sigma.tolist(), err.tolist())]
+    det_x, det_b = x11 * x22 - x12 * x21, b11 * b22 - b12 * b21
+    delta = det_x + det_b - 2.0 * (z11 * z22 - z12 * z21)
+    m11 = x22 * z11 - x12 * z21 - (z22 * b11 - z21 * b21)
+    m12 = x22 * z12 - x12 * z22 - (z22 * b12 - z21 * b22)
+    m21 = x11 * z21 - x21 * z11 - (z11 * b21 - z12 * b11)
+    m22 = x11 * z22 - x21 * z12 - (z11 * b22 - z12 * b12)
+    disc = (det_x - det_b) * (det_x - det_b) - 4.0 * (m11 * m22 - m12 * m21)
+    if disc.value <= 0.0:
+        # nu_minus = det sigma ** 1/4 = theta, off s - |z| by the factor
+        # sqrt((s + |z|) / (s - |z|)); the exact discriminant is
+        # 16 s^2 z^2 with s^2 = det X, and at most disc.err - disc.value
+        assert report.nu_minus == report.theta_minus
+        split = math.sqrt(disc.err - disc.value) / (4.0 * det_x.value)
         nu_rel = theta_rel + math.sqrt((1.0 + split) / (1.0 - split)) - 1.0
-    else:   # nu_minus = sqrt(det sigma / nu_plus^2)
-        root = math.sqrt(disc)
-        plus_sq = 0.5 * (delta + root)
-        plus_err = 0.5 * (delta_err + disc_err / root + _U * root) + _U * plus_sq
+    else:   # nu_minus = sqrt(det sigma / nu_plus^2), from these floats
+        root = math.sqrt(disc.value)
+        plus_sq = 0.5 * (delta.value + root)
+        assert report.nu_minus == math.sqrt(det_full / plus_sq)
+        plus_err = 0.5 * (delta.err + disc.err / root + _U * root) + _U * plus_sq
         nu_rel = 0.5 * (det_err / det_full + plus_err / plus_sq + _U) + _U
     assert abs(report.nu_minus - nu_minus) <= nu_rel * nu_minus
     # E_N = max(0, -ln 2 nu_minus), and _snap_floor's 1e-12
@@ -271,6 +271,13 @@ def test_report_within_its_rounding_bound_of_80_digits(cooperativity, xi, gamma_
 
 # 1 uK to 0.1 K, the property test's temperature range, log spaced
 TEMPERATURES = np.geomspace(1e-6, 0.1, 25).tolist()
+
+# the smallest E_N whose discord the measures' 1e-12 snap cannot hide.  The
+# mirror state fixes E_N = -ln(2 (s - |z|)) with s = sqrt(det X) >= 1/2, so
+# E_N <= -ln(1 - 2|z|), about 2|z|: first order in the mirror correlation z.
+# The discord is second order, at least z^2 near the vacuum (pure states:
+# z^2 (1 + ln(1 / z^2))), so it exceeds the snap wherever E_N > 2 sqrt(1e-12)
+RESOLVED_LOG_NEGATIVITY = 2.0 * math.sqrt(1e-12)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -283,7 +290,8 @@ TEMPERATURES = np.geomspace(1e-6, 0.1, 25).tolist()
 def test_correlations_fall_with_temperature(cooperativity, xi, gamma_over_kappa, squeezing_r):
     # the abstract's thermal claim along a T curve from each base point: no
     # measure rises by more than a relative 1e-9 plus the measures' snap
-    # scale 1e-12, and an entangled point always has discord
+    # scale 1e-12, and an entangled point always has discord, wherever the
+    # snap can show it
     kappa = HELD.kappa
     base = HELD.with_updates(
         cooperativity=cooperativity, hopping_lambda=xi * kappa,
@@ -299,7 +307,7 @@ def test_correlations_fall_with_temperature(cooperativity, xi, gamma_over_kappa,
         if previous is not None:
             for before, after in zip(previous, current):
                 assert after <= before + 1e-9 * abs(before) + 1e-12, (temperature, previous, current)
-        assert report.log_negativity <= 0.0 or report.discord > 0.0, temperature
+        assert report.log_negativity <= RESOLVED_LOG_NEGATIVITY or report.discord > 0.0, temperature
         previous = current
 
 
