@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,16 +45,14 @@ __all__ = [
 _N = 8
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
+class SystemMatrices(NamedTuple):
     """Drift matrix W and stationary noise matrix R, both 8x8, rad/s units."""
 
     drift: np.ndarray
     noise: np.ndarray
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     verdict: str        # "stable" | "marginal" | "unstable"
     max_real: float     # largest real part of the drift spectrum [rad/s]
     threshold: float    # scale-aware tolerance used for the verdict [rad/s]
@@ -65,8 +63,7 @@ class StabilityReport:
         return self.verdict == "stable"
 
 
-@dataclass(frozen=True)
-class CovarianceState:
+class CovarianceState(NamedTuple):
     """Steady-state covariance: full 8x8, exactly symmetric by construction,
     plus the mechanical 4x4 block.
 
@@ -138,7 +135,7 @@ def build_noise(derived: DerivedParams) -> np.ndarray:
 
 
 def system_matrices(derived: DerivedParams) -> SystemMatrices:
-    return SystemMatrices(drift=build_drift(derived), noise=build_noise(derived))
+    return SystemMatrices(build_drift(derived), build_noise(derived))
 
 
 def _collective_drift(gamma: float, kappa: float, coupling: float, lam: float) -> tuple:
@@ -205,7 +202,7 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
         verdict = "marginal"
     else:
         verdict = "unstable"
-    return StabilityReport(verdict=verdict, max_real=max_real, threshold=eps, rates=rates)
+    return StabilityReport(verdict, max_real, eps, rates)
 
 
 def _require_stable(drift: np.ndarray) -> StabilityReport:
@@ -377,17 +374,16 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     # by hypot, which does not overflow where the squares would (entries past
     # about 1e154).  R holds each of its three weights at four entries.  A
     # zero R (sigma = 0) leaves 0/0, which fails the gate as NaN
-    flux = w @ sigma
-    excess = flux + flux.T + r
+    flux = np.dot(w, sigma)
+    excess = flux + flux.T
+    excess += r
     excess /= scale
     noise_norm = 2.0 * math.hypot(*noise)
     residual = (math.hypot(*excess.ravel().tolist()) / noise_norm
                 if noise_norm else math.nan)
     if not residual <= _MAX_RESIDUAL:   # a NaN residual fails too
         raise PhysicalityError(f"Lyapunov residual too large: {residual:.3e}")
-    return CovarianceState(
-        full=sigma, mechanical_block=sigma[:4, :4].copy(), residual=residual
-    )
+    return CovarianceState(sigma, sigma[:4, :4].copy(), residual)
 
 
 def write_matrix(matrix: np.ndarray, path) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .constants import HBAR, KB
 from .errors import ConfigError, _check_number
@@ -115,8 +116,7 @@ _FIELD_CHECKS = tuple((f.name, f.name in _POSITIVE, f.default is None)
                       for f in fields(PhysicalParams))
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Dimensionless and internal quantities derived from :class:`PhysicalParams`.
 
     ``gamma``, ``kappa`` and ``hopping_lambda`` are echoed so that matrix
@@ -220,8 +220,7 @@ def derive(params: PhysicalParams) -> DerivedParams:
         cooperativity = 4.0 * coupling**2 / (params.gamma * params.kappa)
     n_sq, m_sq = squeezed_moments(params.squeezing_r)
     return DerivedParams(
-        n_th=n_th, n_sq=n_sq, m_sq=m_sq, coupling=coupling, cooperativity=cooperativity,
-        xi=params.hopping_lambda / params.kappa, gamma_prime=params.gamma * (n_th + 0.5),
-        kappa_prime=params.kappa * (n_sq + 0.5), gamma=params.gamma, kappa=params.kappa,
-        hopping_lambda=params.hopping_lambda,
+        n_th, n_sq, m_sq, coupling, cooperativity, params.hopping_lambda / params.kappa,
+        params.gamma * (n_th + 0.5), params.kappa * (n_sq + 0.5), params.gamma, params.kappa,
+        params.hopping_lambda,
     )

@@ -139,3 +139,43 @@ def test_bad_number_is_a_config_error_naming_its_field(call, name):
 def test_other_real_number_types_give_the_float_result(one):
     assert duomech.derive(reference_params(squeezing_r=one)) == duomech.derive(reference_params(squeezing_r=1.0))
     assert _closed(squeezing_r=one) == _closed(squeezing_r=1.0)
+
+
+# (record, its field names in order, a builder from a parameter point): the
+# records each point or search step builds are NamedTuples, so their field
+# order is part of the API
+PER_POINT_RECORDS = [
+    (duomech.DerivedParams, "n_th n_sq m_sq coupling cooperativity xi gamma_prime "
+     "kappa_prime gamma kappa hopping_lambda", duomech.derive),
+    (duomech.SystemMatrices, "drift noise",
+     lambda p: duomech.system_matrices(duomech.derive(p))),
+    (duomech.StabilityReport, "verdict max_real threshold rates",
+     lambda p: duomech.check_stability(duomech.system_matrices(duomech.derive(p)).drift)),
+    (duomech.CovarianceState, "full mechanical_block residual",
+     lambda p: duomech.evaluate_point(p).state),
+    (duomech.CorrelationReport, "steering_ab steering_ba log_negativity discord nu_minus "
+     "theta_plus theta_minus", lambda p: duomech.evaluate_point(p).report),
+    (duomech.PointResult, "derived state report", duomech.evaluate_point),
+    (duomech.SweepRow, "swept_value curve_value r xi temperature gamma kappa cooperativity "
+     "n_th sigma1 sigma12 sigma13 steering log_negativity discord nu_minus stable",
+     lambda p: duomech.run_sweep(duomech.SweepSpec("r", 0.0, 1.0, 2, p))[0]),
+]
+# a record's one property: true at a stable point, false where the drift is
+# marginal (C = 0, gamma/kappa = 1e-9)
+PROPERTIES = {duomech.StabilityReport: "is_stable", duomech.PointResult: "stable"}
+
+
+@pytest.mark.parametrize("record, names, build", PER_POINT_RECORDS,
+                         ids=[entry[0].__name__ for entry in PER_POINT_RECORDS])
+def test_per_point_record_is_read_only_with_fixed_fields(record, names, build):
+    point = reference_params()
+    built = build(point)
+    assert type(built) is record
+    assert built._fields == tuple(names.split())
+    for name in built._fields:
+        with pytest.raises(AttributeError):
+            setattr(built, name, None)
+    if record in PROPERTIES:
+        marginal = build(point.with_updates(cooperativity=0.0, gamma=1e-9 * point.kappa))
+        assert getattr(built, PROPERTIES[record]) is True
+        assert getattr(marginal, PROPERTIES[record]) is False
