@@ -8,10 +8,11 @@ Quadrature ordering (program-wide constant)::
 
 b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
-``_drift`` and ``_noise``, through their slot tables, are the one place this
-layout is written; the stability check decodes W, and the solve R, by
-rebuilding them.  The solve assembles sigma from the distinct entries of
-one symmetric sector covariance, so sigma is symmetric by construction.
+``_drift`` and ``_noise`` write this layout for W and R through their slot
+tables, and the stability check decodes W, and the solve R, by rebuilding
+them; ``_sigma_map`` writes it for sigma as a permutation of the mode order.
+The solve assembles sigma from the distinct entries of one symmetric sector
+covariance, so sigma is symmetric by construction.
 
 Convention: vacuum quadrature variance is 1/2.  The covariance matrix sigma
 of symmetric-ordered moments is physical iff every symplectic eigenvalue is
@@ -220,45 +221,38 @@ def _require_stable(drift: np.ndarray) -> StabilityReport:
 
 _MAX_RESIDUAL = 1e-10
 
-# Quadratures in mode order: the modes (b1, c1) of cavity 1, then (b2, c2).
-# The permutation is its own inverse: quadrature n sits at position
-# _MODE_ORDER[n].
-_MODE_ORDER = np.array([0, 1, 4, 5, 2, 3, 6, 7])
-# flat index into the row-major 4x4 (q_b, Y_b, q_c, Y_c) covariance of the
-# + sector of each entry of the - sector: P S+ P, where P swaps q and Y
-# within each mode.  The - sector has drift conj(M) and anomalous noise
-# -M kappa, so its moments are N- = conj(N+) and A- = -conj(A+), hence
-# u- = N- + A- = conj(v+) and v- = conj(u+), and each block
-# [[Re u, -Im u], [Im v, Re v]] of S- is the q <-> Y swap of that block of
-# S+.  IEEE rounding is symmetric and complex +, * and / commute exactly
-# with negation and conjugation, so this is bit for bit what
-# _sector_covariance returns for conj(M) and -M kappa, signed zeros included.
-_SWAP_QY = np.array([1, 0, 3, 2])
-_MINUS_FROM_PLUS = 4 * _SWAP_QY[:, None] + _SWAP_QY[None, :]
-# sigma = ((S+)[_SIGMA_PLUS] + _SIGMA_SIGN (S+)[_SIGMA_MINUS]) / 2: for each
-# entry of sigma, the entry of S+ and of S- it is the half sum (within one
-# cavity's modes) or the half difference (across the cavities) of
-_SIGMA_PLUS = 4 * (_MODE_ORDER[:, None] % 4) + _MODE_ORDER[None, :] % 4
-_SIGMA_MINUS = _MINUS_FROM_PLUS.ravel()[_SIGMA_PLUS]
-_SIGMA_SIGN = np.where(_MODE_ORDER[:, None] // 4 == _MODE_ORDER[None, :] // 4, 1.0, -1.0)
-# the index of each entry of the symmetric S+ among its 10 distinct entries
-_DISTINCT = np.array([[0, 1, 2, 3], [1, 4, 5, 6], [2, 5, 7, 8], [3, 6, 8, 9]])
-
 
 def _sigma_map() -> np.ndarray:
-    """The 64x10 map from the distinct entries of S+ to sigma, row major;
-    sigma_ij and sigma_ji read the same entries alike, so sigma is exactly
-    symmetric.  A row holds +1/2 and +-1/2 in two columns, or their sum (1 or
-    0) in one where an entry and its q <-> Y swap are one, so its product
-    with S+ rounds 1/2 a +- 1/2 b at most once, in any summation order and
-    with or without FMA: (a +- b) / 2 bit for bit, but for the sign of a zero
-    and for subnormals.  A non-finite entry of S+ makes all of sigma NaN
-    (0 * inf), which the residual gate refuses."""
-    weights = np.zeros((_N, _N, 10))
-    rows, cols = np.indices((_N, _N))
-    np.add.at(weights, (rows, cols, _DISTINCT.ravel()[_SIGMA_PLUS]), 0.5)
-    np.add.at(weights, (rows, cols, _DISTINCT.ravel()[_SIGMA_MINUS]), 0.5 * _SIGMA_SIGN)
-    return weights.reshape(_N * _N, 10)
+    """The 64x10 map from the distinct entries of S+, in the order
+    :func:`_sector_covariance` returns them, to sigma, row major.  In mode
+    order (b1, c1, b2, c2), sigma = 1/2 [[S+ + S-, S+ - S-], [S+ - S-, S+ + S-]],
+    with S- = P S+ P, P the q <-> Y swap within each mode; column k is that
+    formula applied to the k-th unit symmetric S+.  sigma_ij and sigma_ji
+    read the same entries alike, so sigma is exactly symmetric.  A row holds
+    +1/2 and +-1/2 in two columns, or their sum (1 or 0) in one where an
+    entry and its q <-> Y swap are one, so its product with S+ rounds
+    1/2 a +- 1/2 b at most once, in any summation order and with or without
+    FMA: (a +- b) / 2 bit for bit, but for the sign of a zero and for
+    subnormals.  A non-finite entry of S+ makes all of sigma NaN (0 * inf),
+    which the residual gate refuses."""
+    # The - sector has drift conj(M) and anomalous noise -M kappa, so its
+    # moments are N- = conj(N+) and A- = -conj(A+), hence u- = N- + A- =
+    # conj(v+) and v- = conj(u+), and each block [[Re u, -Im u], [Im v, Re v]]
+    # of S- is the q <-> Y swap of that block of S+.  IEEE rounding is
+    # symmetric and complex +, * and / commute exactly with negation and
+    # conjugation, so S- = P S+ P is bit for bit what _sector_covariance
+    # returns for conj(M) and -M kappa, signed zeros included.
+    swap = [1, 0, 3, 2]
+    # quadrature n sits at position mode_order[n] of the mode order, and
+    # the permutation is its own inverse
+    mode_order = [0, 1, 4, 5, 2, 3, 6, 7]
+    unit, (rows, cols) = np.arange(10), np.triu_indices(4)
+    plus = np.zeros((10, 4, 4))
+    plus[unit, rows, cols] = plus[unit, cols, rows] = 1.0
+    minus = plus[:, swap][:, :, swap]
+    half_sum, half_diff = (plus + minus) / 2.0, (plus - minus) / 2.0
+    sigma = np.block([[half_sum, half_diff], [half_diff, half_sum]])
+    return np.ascontiguousarray(sigma[:, mode_order][:, :, mode_order].reshape(10, _N * _N).T)
 
 
 _SIGMA_MAP = _sigma_map()
@@ -329,17 +323,10 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     The rates come from the report of :func:`check_stability`, and R's
     weights are accepted only if :func:`_noise` rebuilds R exactly.  The
     cavities are identical and the model phase covariant, so the collective
-    modes (mode1 +- mode2)/sqrt2 decouple: the + sector has drift M (see
-    :func:`_collective_drift`), normal noise diag(gamma', kappa') and
-    anomalous noise M kappa, the - sector drift conj(M) and anomalous noise
-    -M kappa.  The + sector's 4x4 equation becomes two 2x2 equations with
-    explicit solutions (see :func:`_sector_covariance`); the - sector's
-    covariance S- is S+ with q and Y swapped within each mode, exactly.
-    sigma is (S+ + S-)/2 on the diagonal mode blocks and (S+ - S-)/2 off it:
-    one product of the 10 distinct entries of S+ with the fixed map
-    ``_SIGMA_MAP`` gives sigma, bit for bit, and exactly symmetric.  The
-    sector solve takes the rates and weights over the fastest rate (sigma is
-    dimensionless).  The residual gate checks
+    modes (mode1 +- mode2)/sqrt2 decouple; :func:`_sector_covariance` solves
+    the + sector over the fastest rate (sigma is dimensionless), and one
+    product with ``_SIGMA_MAP`` (see :func:`_sigma_map`) assembles sigma from
+    it, bit for bit and exactly symmetric.  The residual gate checks
     ||W sigma + sigma W^T + R||_F / ||R||_F on W and R as given.
 
     Raises

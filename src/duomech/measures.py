@@ -81,12 +81,14 @@ class TwoModeCovariance:
     and ``theta_minus``, and ``nu_plus`` and ``nu_minus`` of the partial
     transpose, from the blocks, as :func:`_eigenvalue_pair` gives them.
     This is the one place a
-    covariance is validated: a shape other than 4x4 raises ``ValueError``; a
-    zero, non-symmetric or non-finite matrix, overflowing block determinants,
-    det sigma <= 0, a det sigma lost to rounding (eps det_scale > 1e-7
-    sqrt(det sigma)), a matrix that is not positive definite or a symplectic
-    eigenvalue below the vacuum bound raise :class:`PhysicalityError`, and
-    the measures do not repeat these gates.
+    covariance is validated, and the measures do not repeat its gates: a
+    shape other than 4x4 raises ``ValueError``, and :class:`PhysicalityError`
+    is raised for a zero, non-symmetric or non-finite matrix, overflowing
+    block determinants, det sigma <= 0, a det sigma lost to rounding
+    (eps det_scale > 1e-7 sqrt(det sigma)), a matrix that is not positive
+    definite, a symplectic invariant lost to rounding (delta <= 0 for sigma
+    or its partial transpose, see :func:`_eigenvalue_pair`) or a symplectic
+    eigenvalue below the vacuum bound.
     """
 
     matrix: np.ndarray

@@ -105,10 +105,7 @@ class SweepSpec:
 
 
 def _apply(params: PhysicalParams, variable: str, value: float) -> PhysicalParams:
-    try:
-        field, per_kappa = _SWEEP_FIELDS[variable]
-    except KeyError:
-        raise ConfigError(f"unknown sweep variable {variable!r}") from None
+    field, per_kappa = _SWEEP_FIELDS[variable]
     return params.with_updates(**{field: value * params.kappa if per_kappa else value})
 
 

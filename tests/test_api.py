@@ -3,6 +3,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import duomech
 from conftest import reference_params
 from duomech import errors
 
+REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(duomech.__path__)
     if info.name != "__main__"
@@ -179,3 +181,37 @@ def test_per_point_record_is_read_only_with_fixed_fields(record, names, build):
         marginal = build(point.with_updates(cooperativity=0.0, gamma=1e-9 * point.kappa))
         assert getattr(built, PROPERTIES[record]) is True
         assert getattr(marginal, PROPERTIES[record]) is False
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each private, non-dunder name that a
+    module binds at its top level by an assignment, a def or a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_module_name_is_used_outside_its_definition():
+    # a table or helper that a rewrite left behind is named nowhere else
+    sources = {path: path.read_text(encoding="utf-8").splitlines()
+               for folder in ("src", "tests", "demos")
+               for path in sorted((REPO / folder).rglob("*.py"))}
+    unused = []
+    for path in sorted((REPO / "src" / "duomech").glob("*.py")):
+        tree = ast.parse("\n".join(sources[path]))
+        for name, first, last in _private_definitions(tree):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) and not (other == path and first <= number <= last)
+                       for other, lines in sources.items()
+                       for number, line in enumerate(lines, 1)):
+                unused.append(f"{path.name}: {name}")
+    assert unused == []

@@ -89,6 +89,68 @@ class TestBuildNoise:
         assert np.linalg.eigvalsh(noise).min() >= 0.0
 
 
+def cascaded_opo_mirror_block(derived, opo_over_kappa):
+    """The mirror block with the squeezed input made, not assumed: a
+    nondegenerate OPO below threshold, decay rate kappa_o, whose output
+    field drives both cavities (Gardiner & Collett, PRA 31, 3761 (1985)).
+    Its quadratures (q1, p1, q2, p2) feed (q_c1, Y_c1, q_c2, Y_c2); vacuum
+    enters the OPO with sqrt(kappa_o) and, reflected, the cavities with
+    -sqrt(kappa).  With eps = kappa_o tanh(r/2) / 2 the output quadrature
+    (q1 +- q2)/sqrt2 has variance e^(+-2r) / 2 at zero frequency."""
+    kappa, opo = derived.kappa, opo_over_kappa * derived.kappa
+    eps = opo * math.tanh(math.asinh(math.sqrt(derived.n_sq)) / 2) / 2
+    w = np.zeros((12, 12))
+    w[:8, :8] = build_drift(derived)
+    w[4:8, 8:] = math.sqrt(kappa * opo) * np.eye(4)
+    w[8:, 8:] = -opo / 2 * np.eye(4)
+    w[8, 10] = w[10, 8] = eps
+    w[9, 11] = w[11, 9] = -eps
+    vacuum = np.zeros((12, 4))
+    vacuum[4:8] = -math.sqrt(kappa) * np.eye(4)
+    vacuum[8:] = math.sqrt(opo) * np.eye(4)
+    q = 0.5 * vacuum @ vacuum.T
+    q[:4, :4] += build_noise(derived)[:4, :4]
+    return scipy.linalg.solve_continuous_lyapunov(w / kappa, -q / kappa)[:4, :4]
+
+
+def mirror_block_of_noise(derived):
+    return solve_lyapunov(SystemMatrices(build_drift(derived), build_noise(derived))).mechanical_block
+
+
+def deviation(block, reference):
+    return abs(block - reference).max() / np.diag(reference).max()
+
+
+class TestSqueezedInputFromCascadedOpo:
+    # R's squeezed entries kappa' = kappa (N + 1/2) and +-M kappa are the
+    # broadband limit kappa_o >> kappa of the cascaded OPO: the mirror
+    # block converges to the solve's, its error falling as kappa / kappa_o
+
+    @pytest.mark.parametrize("r_sq,xi,bound", [(1.0, 0.2, 1e-7), (1.0, 0.0, 1e-7),
+                                               (2.0, 0.1, 1e-7), (0.0, 0.2, 1e-12)])
+    def test_broadband_limit_is_the_squeezed_noise(self, r_sq, xi, bound):
+        derived = derive(reference_params(squeezing_r=r_sq, hopping_lambda=xi * KAPPA))
+        reference = mirror_block_of_noise(derived)
+        errors = [deviation(cascaded_opo_mirror_block(derived, ratio), reference)
+                  for ratio in (1e2, 1e3, 1e4)]
+        assert errors[-1] <= bound, errors
+        if r_sq:
+            # each tenfold kappa_o / kappa divides the error by about 100
+            assert 80.0 <= errors[0] / errors[1] <= 120.0, errors
+            assert 80.0 <= errors[1] / errors[2] <= 120.0, errors
+        else:
+            # vacuum input: no squeezing to resolve at any kappa_o
+            assert max(errors) <= bound, errors
+
+    @pytest.mark.parametrize("mutation", [lambda d: d._replace(m_sq=-d.m_sq),
+                                          lambda d: d._replace(kappa_prime=d.kappa * d.n_sq)],
+                             ids=["cross-entry-sign", "no-vacuum-half"])
+    def test_the_check_sees_a_wrong_squeezed_noise(self, mutation):
+        derived = derive(reference_params(squeezing_r=1.0, hopping_lambda=0.2 * KAPPA))
+        wrong = mirror_block_of_noise(mutation(derived))
+        assert deviation(cascaded_opo_mirror_block(derived, 1e4), wrong) >= 0.1
+
+
 class TestCheckStability:
     def test_damped_decoupled_system(self):
         d = derive(reference_params(cooperativity=0.0, hopping_lambda=0.0))
@@ -255,8 +317,11 @@ class TestSolveLyapunov:
             solve_lyapunov(system_matrices(derive(reference_params())))
 
     def test_sigma_is_the_take_assembly_bit_for_bit(self, monkeypatch):
-        # the reference: each entry of sigma as the half sum or difference
-        # of the two distinct entries of S+ it is taken out of
+        # the reference: sigma = 1/2 [[S+ + S-, S+ - S-], [S+ - S-, S+ + S-]]
+        # in mode order (b1, c1, b2, c2), S- = P S+ P with P the q <-> Y swap
+        # in each mode, permuted to quadrature order
+        swap = [1, 0, 3, 2]
+        mode_order = [0, 1, 4, 5, 2, 3, 6, 7]
         sectors = []
         original = dynamics._sector_covariance
 
@@ -276,9 +341,13 @@ class TestSolveLyapunov:
                 squeezing_r=rng.uniform(0.0, 3.0),
             )
             state = solve_lyapunov(system_matrices(derive(params)))
-            distinct = np.array(sectors.pop()).take(dynamics._DISTINCT).ravel()
-            expected = (distinct.take(dynamics._SIGMA_PLUS)
-                        + dynamics._SIGMA_SIGN * distinct.take(dynamics._SIGMA_MINUS)) * 0.5
+            plus = np.zeros((4, 4))
+            plus[np.triu_indices(4)] = sectors.pop()
+            plus[np.tril_indices(4, -1)] = plus.T[np.tril_indices(4, -1)]
+            minus = plus[np.ix_(swap, swap)]
+            expected = np.block([[plus + minus, plus - minus],
+                                 [plus - minus, plus + minus]]) * 0.5
+            expected = expected[np.ix_(mode_order, mode_order)]
             assert state.full.tobytes() == expected.tobytes(), params
             assert (state.full == state.full.T).all(), params
 

@@ -205,6 +205,11 @@ class TestDiscord:
 
 
 class TestTwoModeCovariance:
+    @pytest.mark.parametrize("shape", [(3, 3), (8, 8), (4,), (4, 2)])
+    def test_rejects_a_shape_other_than_4x4(self, shape):
+        with pytest.raises(ValueError, match="expected a 4x4 covariance"):
+            TwoModeCovariance(np.ones(shape))
+
     def test_rejects_unphysical(self):
         with pytest.raises(PhysicalityError, match="symplectic"):
             TwoModeCovariance.from_matrix(0.3 * np.eye(4))

@@ -124,6 +124,15 @@ class TestIntegration:
         expected = np.diag([d.n_th + 0.5] * 4 + [0.5] * 4)
         assert np.all(np.abs(est.cov_estimate - expected) <= 4.0 * est.std_error + 1e-12)
 
+    def test_without_a_config_integrates_the_default_one(self):
+        # gamma = kappa: the default durations 20/gamma and 200/gamma are
+        # 4000 burn-in and 40 000 sampled steps of dt = 0.005
+        matrices = system_matrices(derive(reference_params(gamma=KAPPA, cooperativity=1.0)))
+        est = integrate_steady_covariance(matrices)
+        assert est.config == SdeConfig()
+        assert est.n_samples == 128 * 40_000
+        assert compare_to_lyapunov(est, solve_lyapunov(matrices)).passed
+
     def test_seed_determinism(self):
         matrices = system_matrices(derive(fast_params()))
         config = SdeConfig(burn_in=220.0, sample_duration=230.0,

@@ -95,6 +95,12 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="at least 2"):
             SweepSpec("r", 0.0, 1.0, 1, held)
 
+    def test_requires_known_curve_variable(self):
+        held = figure_preset("fig2").held
+        with pytest.raises(ConfigError, match="unknown curve variable 'mass'"):
+            SweepSpec("r", 0.0, 1.0, 5, held, curve_variable="mass",
+                      curve_values=(0.1,))
+
     def test_curve_variable_must_differ(self):
         held = figure_preset("fig2").held
         with pytest.raises(ConfigError, match="differ"):
