@@ -9,8 +9,10 @@ Quadrature ordering (program-wide constant)::
 b: mechanical modes, c: cavity modes, in the frame rotating at the
 mechanical/cavity resonance (red-sideband, rotating-wave regime).
 ``_drift`` and ``_noise`` write this layout for W and R through their slot
-tables, and the stability check decodes W, and the solve R, by rebuilding
-them; ``_sigma_map`` writes it for sigma as a permutation of the mode order.
+tables, and the stability check decodes W, and ``solve_lyapunov`` R, by
+rebuilding them (a sweep point, which built R itself, passes its weights
+straight to the solve's kernel, ``_covariance_state``); ``_sigma_map``
+writes the layout for sigma as a permutation of the mode order.
 The solve assembles sigma from the distinct entries of one symmetric sector
 covariance, so sigma is symmetric by construction.
 
@@ -124,6 +126,11 @@ def build_drift(derived: DerivedParams) -> np.ndarray:
     return _drift(derived.gamma, derived.kappa, derived.coupling, derived.hopping_lambda)
 
 
+def _noise_weights(derived: DerivedParams) -> tuple[float, float, float]:
+    """R's three weights (gamma', kappa', M kappa) in :func:`_noise`'s order."""
+    return derived.gamma_prime, derived.kappa_prime, derived.m_sq * derived.kappa
+
+
 def build_noise(derived: DerivedParams) -> np.ndarray:
     """Assemble the 8x8 symmetric stationary noise matrix.
 
@@ -132,7 +139,7 @@ def build_noise(derived: DerivedParams) -> np.ndarray:
     (positive for the q-q pair, negative for Y-Y).  Positive semidefinite
     since kappa'^2 - (M kappa)^2 = kappa^2/4 > 0.
     """
-    return _noise(derived.gamma_prime, derived.kappa_prime, derived.m_sq * derived.kappa)
+    return _noise(*_noise_weights(derived))
 
 
 def system_matrices(derived: DerivedParams) -> SystemMatrices:
@@ -186,7 +193,8 @@ def check_stability(drift: np.ndarray) -> StabilityReport:
         raise ValueError(f"drift must be 8x8, got shape {drift.shape}")
     rates = (-2.0 * drift.item(0, 0), -2.0 * drift.item(4, 4),
              drift.item(0, 4), drift.item(7, 4))
-    if not (drift == _drift(*rates)).all():
+    # count_nonzero(!=) gives all(==)'s verdict, NaN included, at half the cost
+    if np.count_nonzero(drift != _drift(*rates)):
         raise _unsupported("drift")
     scale = max(abs(rates[0]), abs(rates[1]))
     if scale == 0.0:
@@ -346,10 +354,21 @@ def solve_lyapunov(matrices: SystemMatrices) -> CovarianceState:
     r = np.asarray(matrices.noise, dtype=float)
     if w.shape != (_N, _N) or r.shape != (_N, _N):
         raise ValueError(f"drift and noise must be 8x8, got {w.shape} and {r.shape}")
-    gamma, kappa, coupling, lam = _require_stable(w).rates
+    rates = _require_stable(w).rates
     weights = (r.item(0, 0), r.item(4, 4), r.item(4, 6))
-    if not (r == _noise(*weights)).all():
+    if np.count_nonzero(r != _noise(*weights)):
         raise _unsupported("noise")
+    return _covariance_state(w, r, rates, weights)
+
+
+def _covariance_state(w: np.ndarray, r: np.ndarray, rates: tuple,
+                      weights: tuple) -> CovarianceState:
+    """The steady state of the drift of ``rates`` (gamma, kappa, G, lambda),
+    strictly stable, and the noise of ``weights`` (gamma', kappa', M kappa),
+    with the residual gate of :func:`solve_lyapunov` on W and R as given;
+    W and R must be the 8x8 that :func:`_drift` and :func:`_noise` write
+    from them."""
+    gamma, kappa, coupling, lam = rates
     scale = max(abs(gamma), abs(kappa))  # > 0: W is stable, so gamma + kappa > 0
     noise = (weights[0] / scale, weights[1] / scale, weights[2] / scale)
     sigma = np.dot(_SIGMA_MAP, np.array(_sector_covariance(

@@ -86,9 +86,12 @@ class PhysicalParams:
     pump_power: float | None = None
     cooperativity: float | None = None
 
-    def __post_init__(self) -> None:
-        for name, positive, optional in _FIELD_CHECKS:
-            value = getattr(self, name)
+    def __post_init__(self, changes: dict | None = None) -> None:
+        """Check the given fields (``changes``; every field when None), then
+        the two conditions across fields: exactly one drive, and the
+        rotating-wave regime (a warning)."""
+        for name, value in (self.__dict__ if changes is None else changes).items():
+            positive, optional = _FIELD_CHECKS[name]
             if value is not None or not optional:    # None: the drive not given
                 _check_number(name, value, 0.0, positive)   # keywords cost more
         if (self.pump_power is None) == (self.cooperativity is None):
@@ -96,6 +99,8 @@ class PhysicalParams:
                 "exactly one of pump_power and cooperativity must be supplied"
             )
         if self.omega_m / self.kappa <= RWA_MIN_RATIO or self.omega_m / self.gamma <= RWA_MIN_RATIO:
+            # stacklevel 3 is the caller of the constructor (through
+            # __init__) or of with_updates
             warnings.warn(
                 "rotating-wave regime questionable: omega_m should exceed both "
                 f"kappa and gamma by >{RWA_MIN_RATIO:g}x "
@@ -105,15 +110,31 @@ class PhysicalParams:
             )
 
     def with_updates(self, **changes) -> "PhysicalParams":
-        """Copy with the given fields replaced (re-validated)."""
-        return PhysicalParams(**{**self.__dict__, **changes})
+        """Copy with the given fields replaced.
+
+        The copy starts from this instance, whose fields are checked already,
+        so only the changed fields are checked again, by the check the
+        constructor runs; the two conditions across fields (exactly one
+        drive, and the rotating-wave warning, with the constructor's message)
+        are checked on the copy.  An unknown field is a TypeError, as for the
+        constructor.
+        """
+        if not changes.keys() <= _FIELD_CHECKS.keys():   # a subset test allocates no set
+            unknown = ", ".join(sorted(changes.keys() - _FIELD_CHECKS.keys()))
+            raise TypeError(f"PhysicalParams has no field {unknown}")
+        updated = object.__new__(PhysicalParams)
+        state = updated.__dict__
+        state.update(self.__dict__)
+        state.update(changes)
+        updated.__post_init__(changes)
+        return updated
 
 
 # the rates and sizes that must be positive; every other field must be >= 0
 _POSITIVE = ("omega_m", "gamma", "mass", "cavity_length", "omega_c", "omega_l", "kappa")
-# (field, must be positive, may be None: a drive) in field order
-_FIELD_CHECKS = tuple((f.name, f.name in _POSITIVE, f.default is None)
-                      for f in fields(PhysicalParams))
+# field -> (must be positive, may be None: a drive)
+_FIELD_CHECKS = {f.name: (f.name in _POSITIVE, f.default is None)
+                 for f in fields(PhysicalParams)}
 
 
 class DerivedParams(NamedTuple):

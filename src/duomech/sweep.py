@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .config import EXAMPLE_CONFIG, parse_config
-from .dynamics import CovarianceState, solve_lyapunov, system_matrices
+from .dynamics import (CovarianceState, _covariance_state, _noise_weights, _require_stable,
+                       system_matrices)
 from .errors import BracketError, ConfigError, DuomechError, StabilityError, _check_number
 from .measures import CorrelationReport, TwoModeCovariance, correlation_report
 from .params import DerivedParams, PhysicalParams, derive
@@ -122,14 +123,19 @@ class PointResult(NamedTuple):
 
 
 def evaluate_point(params: PhysicalParams) -> PointResult:
-    """derive -> matrices -> Lyapunov (stability checked there) -> mechanical
+    """derive -> matrices -> stability check -> Lyapunov -> mechanical
     measures.  An unstable drift gives a result with ``stable=False`` and no
-    state or report."""
+    state or report.  The state is bit for bit the one
+    :func:`~duomech.dynamics.solve_lyapunov` gives for these matrices: the
+    solve's kernel takes the rates from the stability report and R's weights
+    from ``derived``, as R was built from them, so R is not decoded again."""
     derived = derive(params)
+    drift, noise = system_matrices(derived)
     try:
-        state = solve_lyapunov(system_matrices(derived))
+        rates = _require_stable(drift).rates
     except StabilityError:
         return PointResult(derived, None, None)
+    state = _covariance_state(drift, noise, rates, _noise_weights(derived))
     cov = TwoModeCovariance.from_matrix(state.mechanical_block)
     return PointResult(derived, state, correlation_report(cov))
 

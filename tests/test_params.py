@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from conftest import reference_params
 from duomech import (
     ConfigError,
     PhysicalParams,
+    SweepSpec,
     derive,
     effective_coupling,
     power_from_cooperativity,
+    run_sweep,
     squeezed_moments,
     thermal_occupancy,
 )
@@ -179,3 +182,36 @@ class TestWithUpdates:
         base = reference_params(hopping_lambda=0.0)
         with pytest.warns(UserWarning, match="rotating-wave"):
             base.with_updates(kappa=OMEGA_M / 2.0)
+
+
+class TestIncrementalWithUpdates:
+    """with_updates checks only the fields it changes, by the constructor's
+    check, and then the two conditions across fields."""
+
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), True], ids=["negative", "nan", "bool"])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(PhysicalParams)])
+    def test_bad_value_is_a_config_error_naming_its_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            reference_params().with_updates(**{field: value})
+
+    def test_dropping_the_only_drive_is_refused(self):
+        with pytest.raises(ConfigError, match="exactly one of pump_power and cooperativity"):
+            reference_params().with_updates(cooperativity=None)
+
+    @pytest.mark.parametrize("field,value", [("gamma", OMEGA_M / 5.0), ("kappa", OMEGA_M / 2.0)])
+    def test_rwa_warning_has_the_constructors_message(self, field, value):
+        base = reference_params(hopping_lambda=0.0)
+        with pytest.warns(UserWarning, match="rotating-wave") as updated:
+            base.with_updates(**{field: value})
+        with pytest.warns(UserWarning, match="rotating-wave") as built:
+            PhysicalParams(**{**dataclasses.asdict(base), field: value})
+        assert [str(w.message) for w in updated] == [str(w.message) for w in built]
+
+    def test_default_filter_shows_the_rwa_warning_once_per_sweep(self):
+        with pytest.warns(UserWarning, match="rotating-wave"):
+            held = reference_params(hopping_lambda=0.0, kappa=OMEGA_M / 2.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            rows = run_sweep(SweepSpec("T", 1e-4, 2e-4, 5, held))
+        assert len(rows) == 5 and all(row.stable for row in rows)
+        assert sum("rotating-wave" in str(w.message) for w in caught) == 1

@@ -18,15 +18,22 @@ from hypothesis import strategies as st
 
 from conftest import assert_theta_matches_spectrum
 from duomech import (
+    DuomechError,
+    PointResult,
+    StabilityError,
     TwoModeCovariance,
     build_drift,
     build_noise,
     check_stability,
     closed_sigma_corrected,
+    correlation_report,
+    derive,
     dynamics,
     evaluate_point,
     figure_preset,
+    solve_lyapunov,
     symplectic_spectrum,
+    system_matrices,
 )
 
 
@@ -76,6 +83,76 @@ def test_pipeline_invariants(cooperativity, xi, gamma_over_kappa, temperature, s
     closed = closed_sigma_corrected(derived.cooperativity, squeezing_r, derived.xi,
                                     derived.gamma, derived.kappa, derived.n_th)
     assert closed.sigma1 == pytest.approx(float(mech[0, 0]), rel=1e-8)
+
+
+def _same_outcome_on_both_routes(params) -> str:
+    """Compare evaluate_point with the solve of the built matrices followed
+    by the measures, composed from the public API: the same stable verdict,
+    bit for bit the same state and report, or the same error type and
+    message.  Return which of "stable", "unstable" and "refused" it was."""
+    def outcome(route):
+        try:
+            return route()
+        except DuomechError as exc:
+            return type(exc), str(exc)
+
+    def composed():
+        try:
+            state = solve_lyapunov(system_matrices(derive(params)))
+        except StabilityError:
+            return None
+        return state, correlation_report(TwoModeCovariance.from_matrix(state.mechanical_block))
+
+    with np.errstate(all="ignore"):   # an overflowing R makes the solve NaN, and numpy warns
+        expected, point = outcome(composed), outcome(lambda: evaluate_point(params))
+    if expected is None:
+        assert isinstance(point, PointResult) and not point.stable
+        assert point.state is None and point.report is None
+        return "unstable"
+    if isinstance(expected[0], type):
+        assert point == expected
+        return "refused"
+    state, report = expected
+    assert point.state.full.tobytes() == state.full.tobytes()
+    assert point.state.mechanical_block.tobytes() == state.mechanical_block.tobytes()
+    assert point.state.residual.hex() == state.residual.hex()
+    assert point.report == report
+    return "stable"
+
+
+# the ranges of test_pipeline_invariants, with gamma/kappa down to 1e-11
+# (a marginal drift below about 2e-9 at weak coupling) and r up to 352 (the
+# mirror block overflows from about r = 90, and R near r = 350)
+@settings(derandomize=True, deadline=None, max_examples=500, database=None)
+@given(
+    cooperativity=log_uniform(-3, 5),
+    xi=log_uniform(-4, 1),
+    gamma_over_kappa=st.one_of(log_uniform(-5, 0), log_uniform(-11, -5)),
+    temperature=log_uniform(-6, -1),
+    squeezing_r=st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 352.0)),
+)
+def test_point_state_is_the_solve_of_its_matrices(cooperativity, xi, gamma_over_kappa,
+                                                  temperature, squeezing_r):
+    kappa = HELD.kappa
+    params = HELD.with_updates(
+        cooperativity=cooperativity, hopping_lambda=xi * kappa,
+        gamma=gamma_over_kappa * kappa, temperature=temperature,
+        squeezing_r=squeezing_r,
+    )
+    _same_outcome_on_both_routes(params)
+
+
+@pytest.mark.parametrize("changes,kind", [
+    # undriven with gamma = 1e-10 kappa, the drift is marginal: no steady state
+    (dict(cooperativity=0.0, gamma=1e-10 * HELD.kappa), "unstable"),
+    # the solve passes; the measures refuse the overflowing mirror block
+    (dict(squeezing_r=150.0), "refused"),
+    # R overflows; the residual gate refuses the NaN solution
+    (dict(squeezing_r=352.0), "refused"),
+    (dict(squeezing_r=352.0, hopping_lambda=3.0 * HELD.kappa), "refused"),
+])
+def test_point_outside_the_ranges_has_the_solves_outcome(changes, kind):
+    assert _same_outcome_on_both_routes(HELD.with_updates(**changes)) == kind
 
 
 _U = 2.0 ** -53   # unit roundoff: one rounding moves a float by at most _U relative
